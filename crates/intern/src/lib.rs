@@ -528,11 +528,11 @@ pub mod sop {
 pub mod parallel {
     //! Scoped-thread work distribution for embarrassingly parallel stages.
     //!
-    //! The CEGIS screening loop checks independent candidates with pure
-    //! functions over shared immutable data; these helpers spread that work
-    //! over `std::thread::scope` threads while keeping results deterministic
-    //! (a parallel search returns the same element the sequential scan would
-    //! have).
+    //! The bounded checker captures and scans independent (size, trial)
+    //! units with pure functions over shared immutable data; these helpers
+    //! spread that work over `std::thread::scope` threads while keeping
+    //! results deterministic (a parallel search returns the same element the
+    //! sequential scan would have).
 
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -578,7 +578,7 @@ pub mod parallel {
     /// Finds the item with the **lowest index** for which `f` returns
     /// `Some`, evaluating candidates in parallel. Matches the sequential
     /// first-success semantics of a `for` loop with early return, which is
-    /// what keeps a parallelized CEGIS scan deterministic.
+    /// what keeps a parallel unit scan deterministic.
     ///
     /// Workers skip indices above the best success seen so far, so the extra
     /// work past the winner stays bounded.

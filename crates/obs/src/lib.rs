@@ -55,13 +55,11 @@ pub mod names {
     pub static CEGIS_CANDIDATE: Name = Name::new("cegis.candidate");
     /// Extended bounded-validation fallback.
     pub static CEGIS_VALIDATE: Name = Name::new("cegis.validate");
-    /// Reachable-state capture (once per (kernel session, grid tier)).
+    /// Reachable-state capture of one (size, trial) unit (arg: grid size);
+    /// each unit is captured once per kernel session.
     pub static BOUNDED_CAPTURE: Name = Name::new("bounded.capture");
     /// Scanning captured states against one candidate's VCs.
     pub static BOUNDED_SCAN: Name = Name::new("bounded.scan");
-    /// One escalation rung of the adaptive bounded screen: capturing (when
-    /// lazy-first-touch) and scanning one grid tier (arg: grid size).
-    pub static BOUNDED_TIER: Name = Name::new("bounded.tier");
     /// The sound prover over one candidate's VC set.
     pub static PROVE_SESSION: Name = Name::new("prove.session");
     /// One `ProofSession::prove` obligation (detail: `memo_hit` /
@@ -91,6 +89,6 @@ pub mod names {
     pub static BUDGET_TIMEOUT: Name = Name::new("budget.timeout");
     /// A fault-injection site fired (detail: which fault).
     pub static FAULT_INJECTED: Name = Name::new("fault.injected");
-    /// A candidate worker panicked and was isolated.
+    /// A candidate check panicked and was isolated.
     pub static WORKER_CRASHED: Name = Name::new("cegis.crashed");
 }

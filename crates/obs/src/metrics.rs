@@ -257,8 +257,8 @@ impl MetricSet {
         }
     }
 
-    /// Adds into one cell (shared-reference, so parallel candidate workers
-    /// can feed one kernel's set).
+    /// Adds into one cell (shared-reference, so parallel workers can feed
+    /// one kernel's set).
     #[inline]
     pub fn add(&self, id: MetricId, n: u64) {
         self.cells[id.0 as usize].fetch_add(n, Ordering::Relaxed);

@@ -183,7 +183,7 @@ impl Drop for Ring {
 
 /// Global ring registry: rings are `Arc`-held here as well as in the
 /// owner's thread-local, so a scoped worker thread's events survive the
-/// thread (the parallel CEGIS workers live only for one `parallel::map`
+/// thread (the bounded-check workers live only for one `parallel::map`
 /// call; their traces must not die with them).
 fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
     static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();

@@ -216,8 +216,8 @@ impl BatchReport {
                         ];
                         if timings {
                             // Memo/core counters live with the timings: hit
-                            // totals depend on how candidate workers and
-                            // sibling kernels interleave, so they are
+                            // totals depend on how sibling kernels and
+                            // bounded-check workers interleave, so they are
                             // schedule-dependent exactly like durations and
                             // must stay out of the canonical encoding.
                             fields.extend([

@@ -364,7 +364,7 @@ fn decode_phase(v: &Json) -> DecodeResult<PhaseTimings> {
 /// files read as misses instead of decode errors. Schema 3 added the
 /// checksum-line framing around the document (see `cache::decode_checked`);
 /// schema 4 added the prover memo/core counters to the phase block;
-/// schema 5 added the adaptive bounded-screen counters
+/// schema 5 added the bounded-screen counters
 /// (screened/survivors/batch_scans).
 pub const SCHEMA: u64 = 5;
 

@@ -1,6 +1,6 @@
 //! The chaos suite: the full corpus is lifted while the deterministic
 //! fault-injection registry tears disk writes, fails reads, panics
-//! candidate workers, and stalls the prover — and the batch must still
+//! candidate checks, and stalls the prover — and the batch must still
 //! complete, classifying every faulted kernel on the degradation ladder
 //! (degraded / timeout / crashed) instead of hanging or aborting.
 //!
@@ -30,7 +30,6 @@ fn faulted_corpus_batch_completes_and_classifies_every_kernel() {
         panic_kernels: vec!["lap0".to_string()],
         stall_kernels: vec!["grad0".to_string()],
         stall_ms: 400,
-        ..FaultPlan::default()
     };
     let guard = chaos::armed(plan);
 
@@ -116,96 +115,40 @@ fn faulted_corpus_batch_completes_and_classifies_every_kernel() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The CEGIS loop stops at a crashed candidate: when `panic_candidate`
+/// fires on candidate k, the kernel is `Crashed` and at most k + 1
+/// candidates were screened. The fault fires on every candidate of the
+/// kernel, so it fires on the first one checked (k = 0) and, because the
+/// loop stops there, on no other.
 #[test]
-fn adaptive_tier_faults_are_classified_never_wedged() {
-    let dir = temp_dir("tiers");
-    let plan = FaultPlan {
-        seed: 0x71E2,
-        // A panic inside the lazy `OnceLock` tier capture: std leaves the
-        // cell uninitialized and propagates, so the worker's catch_unwind
-        // must isolate the kernel as crashed.
-        tier_panic_kernels: vec!["div0".to_string()],
-        // A stall inside the initializer: the per-source deadline trips
-        // mid-escalation and the kernel lands on a budget-affected rung.
-        tier_stall_kernels: vec!["heat0".to_string()],
-        stall_ms: 400,
-        // Torn state when escalating past the smallest tier: the screen
-        // reports a capture error and every candidate is rejected, so no
-        // invariant can be proven — the kernel must not come out soundly
-        // verified. (The extended bounded-validation fallback may still
-        // accept it: that rung runs full concrete executions and never
-        // touches the torn capture machinery.)
-        torn_tier_kernels: vec!["lap0".to_string()],
+fn candidate_panic_stops_the_cegis_loop() {
+    let guard = chaos::armed(FaultPlan {
+        panic_kernels: vec!["lap0".to_string()],
         ..FaultPlan::default()
-    };
-    let guard = chaos::armed(plan);
-
-    let sources = batch::corpus_sources();
-    let options = BatchOptions {
-        cache_dir: Some(dir.clone()),
-        kernel_timeout_ms: Some(150),
-        retries: 1,
-        ..BatchOptions::default()
-    };
-    let report = batch::run_batch(&sources, &options).expect("cache dir usable");
-    let pass = &report.passes[0];
-    assert!(pass.kernels.len() >= sources.len(), "no kernel dropped");
-
-    let row = |name: &str| {
-        pass.kernels
-            .iter()
-            .find(|k| k.source_name == name)
-            .unwrap_or_else(|| panic!("{name} row present"))
-    };
-
-    assert_eq!(
-        outcome_tag(&row("div0").report.outcome),
-        "crashed",
-        "tier-capture panic must surface as crashed, got {:?}",
-        row("div0").report.outcome
-    );
+    });
+    let sources: Vec<_> = batch::corpus_sources()
+        .into_iter()
+        .filter(|s| s.name == "lap0")
+        .collect();
+    assert_eq!(sources.len(), 1);
+    let report = batch::run_batch(&sources, &BatchOptions::default()).expect("memory-only cache");
+    let lap0 = &report.passes[0].kernels[0];
     assert!(
-        row("heat0").report.outcome.is_budget_affected(),
-        "tier-capture stall must trip the per-source budget, got {:?}",
-        row("heat0").report.outcome
+        matches!(lap0.report.outcome, KernelOutcome::Crashed { .. }),
+        "injected panic must surface as a crashed row, got {:?}",
+        lap0.report.outcome
     );
-    let lap0 = &row("lap0").report.outcome;
-    match lap0 {
-        KernelOutcome::Translated {
-            soundly_verified, ..
-        } => assert!(
-            !soundly_verified,
-            "torn tier state rejects every candidate, so a sound proof is \
-             impossible — got a soundly-verified translation"
-        ),
-        KernelOutcome::Untranslated { .. }
-        | KernelOutcome::Timeout { .. }
-        | KernelOutcome::Crashed { .. } => {}
-    }
-
     let injected = guard.injected();
-    assert!(injected.tier_panics > 0, "no tier panics: {injected:?}");
-    assert!(injected.tier_stalls > 0, "no tier stalls: {injected:?}");
-    assert!(injected.torn_tiers > 0, "no torn tiers: {injected:?}");
-
-    // Disarmed rerun over the same cache directory: every faulted kernel
-    // recovers — the poisoned `OnceLock` never wedges the session.
-    drop(guard);
-    let report2 = batch::run_batch(&sources, &options).expect("cache dir usable");
-    let pass2 = &report2.passes[0];
-    for name in ["div0", "heat0", "lap0"] {
-        let k = pass2
-            .kernels
-            .iter()
-            .find(|k| k.source_name == name)
-            .unwrap_or_else(|| panic!("{name} row present"));
-        assert!(
-            !matches!(outcome_tag(&k.report.outcome), "crashed" | "timeout"),
-            "{name} must recover once faults are disarmed, got {:?}",
-            k.report.outcome
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        injected.candidate_panics, 1,
+        "the loop stops at the first crashed candidate: {injected:?}"
+    );
+    let k = injected.candidate_panics - 1;
+    assert!(
+        lap0.report.phase.screened <= k + 1,
+        "screened {} candidates past a crash at candidate {k}",
+        lap0.report.phase.screened
+    );
 }
 
 #[test]

@@ -65,8 +65,8 @@ pub fn retain_epoch(cutoff: u64) -> usize {
 type MemoKey = (u32, usize, usize);
 
 /// Per-kernel prover memo: subtree verdicts for every obligation the
-/// case-split search has settled, shared by all CEGIS candidates (and all
-/// parallel candidate workers) of one kernel.
+/// case-split search has settled, shared by all CEGIS candidates of one
+/// kernel.
 ///
 /// The memo key is `(vc, ctx, depth)`:
 /// * `vc` — a session-local id for the VC's full structural rendering

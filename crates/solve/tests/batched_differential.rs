@@ -1,21 +1,20 @@
-//! Differential property test for the adaptive bounded screen: the staged
-//! (escalating-tier), kill-rate-ordered, batched `find_counterexample` must
-//! agree with the exhaustive per-state reference scan
+//! Differential property test for the batched bounded screen: the SoA
+//! batched, parallel-unit `find_counterexample` must agree with the
+//! exhaustive per-state scalar reference scan
 //! (`find_counterexample_exhaustive`) on every candidate's *verdict* —
 //! counterexample present, absent, or error — across the whole corpus.
 //!
 //! The two scans are allowed to report *different* counterexamples (the
-//! adaptive scan reorders VCs by historical kill rate and sweeps states in
-//! SoA batches), but never to disagree on whether one exists: CEGIS only
-//! consumes presence, so that is the contract the optimization must keep.
+//! batched scan is VC-major within a unit, the reference state-major), but
+//! never to disagree on whether one exists: CEGIS only consumes presence,
+//! so that is the contract the optimization must keep.
 //!
 //! Candidate families per kernel mirror the compiled-vs-interpreter
 //! differential: a trivial postcondition (survives), a wrong one (killed by
 //! a violation), an erroring one (killed by an evaluation error), and an
 //! unbound-hypothesis variant (vacuous everywhere, survives). Each family
 //! is screened twice through one shared session so the second screening
-//! runs under reordered (kill-count-warmed) VCs and the capture cache.
-//! CI runs this in release as part of the bench-smoke job.
+//! reuses the captured units. CI runs this in release.
 
 use stng_ir::ir::{CmpOp, IrExpr, Kernel};
 use stng_ir::lower::kernel_from_source;
@@ -71,23 +70,23 @@ fn empty_invariants(nest: &LoopNest) -> Vec<Invariant> {
     nest.levels.iter().map(|_| Invariant::empty()).collect()
 }
 
-/// Screens `vcs` through both the adaptive and the exhaustive scan and
+/// Screens `vcs` through both the batched and the exhaustive scan and
 /// asserts verdict agreement. Returns 0/1/2 for survived/killed/error.
 fn assert_verdicts_agree(session: &CheckSession, vcs: &[Vc], label: &str) -> usize {
-    let adaptive = session.find_counterexample(vcs);
+    let batched = session.find_counterexample(vcs);
     let exhaustive = session.find_counterexample_exhaustive(vcs);
-    match (&adaptive, &exhaustive) {
+    match (&batched, &exhaustive) {
         (Ok(None), Ok(None)) => 0,
         (Ok(Some(_)), Ok(Some(_))) => 1,
         (Err(_), Err(_)) => 2,
-        _ => panic!(
-            "{label}: verdict divergence — adaptive {adaptive:?} vs exhaustive {exhaustive:?}"
-        ),
+        _ => {
+            panic!("{label}: verdict divergence — batched {batched:?} vs exhaustive {exhaustive:?}")
+        }
     }
 }
 
 /// A small checker configuration so the corpus sweep stays fast in debug
-/// builds while still capturing multi-unit, multi-size tier sets.
+/// builds while still capturing multi-unit, multi-size unit sets.
 fn test_checker() -> BoundedChecker {
     BoundedChecker {
         grid_sizes: vec![3, 4],
@@ -97,7 +96,7 @@ fn test_checker() -> BoundedChecker {
 }
 
 #[test]
-fn adaptive_screen_agrees_with_exhaustive_on_every_corpus_kernel() {
+fn batched_screen_agrees_with_exhaustive_on_every_corpus_kernel() {
     let mut kernels_covered = 0usize;
     // [survived, killed, error]
     let mut verdicts = [0usize; 3];
@@ -156,8 +155,8 @@ fn adaptive_screen_agrees_with_exhaustive_on_every_corpus_kernel() {
         }
         families.push(("unbound-hyp", unbound));
 
-        // Two rounds: the second screens under kill counters accumulated by
-        // the first, so the reordered-VC path is differentially tested too.
+        // Two rounds: the second screens against the units the first
+        // captured, so session reuse is differentially tested too.
         for round in 0..2 {
             for (family, vcs) in &families {
                 let label = format!("{}/{family}/round{round}", corpus_kernel.name);
@@ -179,7 +178,7 @@ fn adaptive_screen_agrees_with_exhaustive_on_every_corpus_kernel() {
 }
 
 #[test]
-fn adaptive_screen_agrees_on_real_invariants() {
+fn batched_screen_agrees_on_real_invariants() {
     // The running example with its hand-written invariants: the correct
     // candidate must survive both scans, and stay surviving across repeated
     // screenings of the same session.
@@ -199,10 +198,10 @@ fn adaptive_screen_agrees_on_real_invariants() {
 }
 
 #[test]
-fn adaptive_screen_agrees_on_capture_errors() {
+fn batched_screen_agrees_on_capture_errors() {
     // A kernel whose capture fails at size 4 (`a` declared `0..min(n,3)`
     // but stored through `1..n`): both scans must surface the capture error
-    // for a surviving candidate, and both must prefer an earlier tier's
+    // for a surviving candidate, and both must prefer an earlier unit's
     // violation for a killed one.
     use stng_ir::ir::{IterDomain, Param, ParamKind};
     use stng_pred::vcgen::VcScope;

@@ -226,6 +226,9 @@ impl Stng {
     /// Returns a parse error message when the source is malformed; failures
     /// of individual kernels are reported per kernel, not as errors.
     pub fn lift_source(&self, source: &str) -> Result<LiftReport, String> {
+        // Arena handles live only inside this call; the pin keeps a
+        // concurrent `memory::sweep` from evicting them.
+        let _pin = crate::memory::pin();
         let program = parse_program(source).map_err(|e| e.to_string())?;
         let mut report = LiftReport::default();
         for proc in &program.procedures {

@@ -1,4 +1,5 @@
-//! Observability contract tests: span well-formedness under parallel CEGIS,
+//! Observability contract tests: span well-formedness under parallel
+//! bounded checking,
 //! counter-metric determinism, and the disarmed recorder's no-op guarantee.
 //!
 //! Lives in its own integration-test binary (= its own process) because the
@@ -29,25 +30,30 @@ impl LiftCache for NullCache {
 /// observability state.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Arming the recorder during a lift with parallel CEGIS workers must
-/// produce a well-formed trace on every thread: Open/Close strictly nested,
-/// nothing dropped, and spans present for the pipeline stages the lift
-/// actually exercised.
+/// Arming the recorder during a lift with parallel bounded-checking workers
+/// must produce a well-formed trace on every thread: Open/Close strictly
+/// nested, nothing dropped, and spans present for the pipeline stages the
+/// lift actually exercised.
 #[test]
-fn spans_are_well_formed_under_parallel_cegis() {
+fn spans_are_well_formed_under_parallel_bounded_checking() {
     let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
     obs::recorder::reset();
     obs::arm();
     let mut stng = Stng::new().with_cache(Arc::new(NullCache));
-    // Force >1 worker even on a single-core machine so candidate spans land
+    // Force >1 worker even on a single-core machine so capture spans land
     // on threads other than the one that opened `lift.kernel`.
-    stng.config.parallelism = 4;
+    stng.config.bounded.parallelism = 4;
     let report = stng.lift_source(fixtures::RUNNING_EXAMPLE).unwrap();
     obs::disarm();
     assert_eq!(report.translated(), 1);
 
     let threads = obs::recorder::snapshot();
-    assert!(!threads.is_empty(), "an armed lift must record events");
+    let recording = threads.iter().filter(|t| !t.events.is_empty()).count();
+    assert!(
+        recording >= 2,
+        "events must land on the lifting thread and on bounded-check workers, \
+         got {recording} recording thread(s)"
+    );
     let mut total_events = 0usize;
     for t in &threads {
         let wf = obs::chrome::wellformedness(t);

@@ -5,8 +5,6 @@ use crate::control::ControlBits;
 use crate::invariant::invariant_candidates;
 use crate::postcond::PostcondSynthesizer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use stng_intern::guard::{fault, Budget, DegradeReason};
 use stng_intern::Symbol;
@@ -40,7 +38,7 @@ pub enum SynthesisFailure {
         reason: DegradeReason,
         detail: String,
     },
-    /// A candidate worker panicked; the panic was isolated to this kernel.
+    /// A candidate check panicked; the panic was isolated to this kernel.
     Crashed { panic: String },
 }
 
@@ -76,10 +74,10 @@ pub struct SynthesisConfig {
     pub require_sound_proof: bool,
     /// Grid sizes used for the extended bounded validation fallback.
     pub validation_sizes: Vec<i64>,
-    /// Worker threads for checking independent CEGIS candidates (and
-    /// validation sizes) concurrently. Candidate checks are pure functions
-    /// over shared immutable data; the accepted candidate is deterministic
-    /// (lowest index) regardless of the thread count.
+    /// Worker threads for the extended bounded-validation fallback, which
+    /// runs its validation sizes concurrently. CEGIS candidates are checked
+    /// one at a time; the bounded checker's own `parallelism` sizes the
+    /// capture and scan inside each check.
     pub parallelism: usize,
 }
 
@@ -103,9 +101,8 @@ impl Default for SynthesisConfig {
 /// the capture-reuse counter the benchmarks assert on.
 ///
 /// Durations are nanoseconds (exact integers, so reports survive cache
-/// round trips bit-for-bit). `bounded_ns` accumulates across candidates —
-/// on a multi-core host concurrent candidate scans sum their individual
-/// times, so it can exceed wall clock there.
+/// round trips bit-for-bit). `bounded_ns` accumulates across the
+/// candidates, which are screened one at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseTimings {
     /// Time spent capturing reachable states (once per CEGIS session).
@@ -130,14 +127,16 @@ pub struct PhaseTimings {
     /// — a profiling signal, not an invariant (and, like all timing fields,
     /// excluded from canonical reports).
     pub core_hits: u64,
-    /// Candidates screened by the adaptive bounded checker (one per
+    /// Candidates screened by the bounded checker (one per
     /// `find_counterexample` call on the session).
     pub screened: u64,
-    /// Screened candidates that survived every tier and went to the prover.
+    /// Screened candidates that survived the screen and went to the prover.
     pub survivors: u64,
     /// Batched SoA program sweeps executed (one per ≤64-state chunk per VC
-    /// per unit actually scanned). Schedule-dependent under multi-threaded
-    /// screening — a profiling signal, excluded from canonical reports.
+    /// per unit actually scanned). With a multi-threaded unit scan, units
+    /// past a violation may be scanned speculatively, so the count is
+    /// schedule-dependent there — a profiling signal, excluded from
+    /// canonical reports.
     pub batch_scans: u64,
 }
 
@@ -280,7 +279,7 @@ pub fn synthesize_with_phases(
 ///    an accepted summary carries `soundly_verified = false` and
 ///    `degraded = Some(ProverAttempts)`;
 /// 2. deadline/fuel/cancellation trip → [`SynthesisFailure::Timeout`];
-/// 3. a candidate worker panics → the panic is caught, the remaining
+/// 3. a candidate check panics → the panic is caught, the remaining
 ///    candidates are skipped, and the kernel fails with
 ///    [`SynthesisFailure::Crashed`] — never the whole process.
 pub fn synthesize_governed_with_phases(
@@ -338,25 +337,17 @@ pub fn synthesize_governed_with_phases(
             if let Ok(inv_candidates) = invariant_candidates(kernel, &nest, &post, &run) {
                 control_bits.merge(&inv_candidates.control_bits);
                 peak_candidates = inv_candidates.candidates.len();
-                // Screen candidates concurrently: each check (VC generation,
-                // bounded screen, sound proof) is a pure function of shared
-                // immutable inputs. `find_first` keeps sequential semantics —
-                // the lowest-index candidate that proves sound wins. The
-                // bounded checker's own worker count is divided by the number
-                // of candidates in flight so the two levels of parallelism
-                // never multiply past the configured budget.
-                let in_flight = config.parallelism.clamp(1, peak_candidates);
-                let bounded = BoundedChecker {
-                    parallelism: (config.bounded.parallelism / in_flight).max(1),
-                    ..config.bounded.clone()
-                };
                 // One session for the whole candidate set: reachable states
                 // depend only on the kernel and the (size, trial) seeds, so
                 // they are captured once and scanned per candidate; only
                 // the candidate-dependent VCs are recompiled between
                 // iterations. Capture errors reject every candidate, as
                 // they would have per candidate before.
-                let session = CheckSession::with_budget(bounded, kernel.clone(), budget.clone());
+                let session = CheckSession::with_budget(
+                    config.bounded.clone(),
+                    kernel.clone(),
+                    budget.clone(),
+                );
                 // One prover session for the whole candidate set: settled
                 // case-split subtrees are shared across candidates (most VCs
                 // — loop bounds, frame conditions — are identical from one
@@ -364,72 +355,66 @@ pub fn synthesize_governed_with_phases(
                 // attempts nor the governed budget.
                 let prover_session = ProverSession::new();
                 let core_hits_before = stng_solve::lin::core_hit_count();
-                let prove_ns = AtomicU64::new(0);
-                // A caught worker panic is recorded here and halts the scan;
-                // the first panic message wins (candidates race, but the
-                // kernel fails with Crashed either way).
-                let panicked: Mutex<Option<String>> = Mutex::new(None);
-                let halt = AtomicBool::new(false);
-                let accepted = stng_intern::parallel::find_first(
-                    &inv_candidates.candidates,
-                    config.parallelism,
-                    |k, invariants| {
-                        // First-success semantics under cancellation: a
-                        // tripped budget (or a crashed sibling) skips the
-                        // remaining candidates instead of screening them.
-                        if halt.load(Ordering::Relaxed) || budget.exhausted().is_some() {
-                            return None;
+                let mut prove_ns = 0u64;
+                let mut panicked: Option<String> = None;
+                let mut accepted: Option<(usize, usize)> = None;
+                // The CEGIS loop of §3.1: candidates in index order, each
+                // screened by bounded checking and then proved; the first
+                // proved candidate wins. A tripped budget skips the rest,
+                // and a caught panic stops the loop.
+                for (k, invariants) in inv_candidates.candidates.iter().enumerate() {
+                    if budget.exhausted().is_some() {
+                        break;
+                    }
+                    let mut candidate_span = span(&names::CEGIS_CANDIDATE);
+                    candidate_span.arg(k as u64);
+                    let checked = catch_unwind(AssertUnwindSafe(|| {
+                        if fault::panic_candidate(&kernel.name) {
+                            event(
+                                &names::FAULT_INJECTED,
+                                Some(Symbol::intern("panic_candidate")),
+                                k as u64,
+                            );
+                            panic!("injected candidate panic");
                         }
-                        let mut candidate_span = span(&names::CEGIS_CANDIDATE);
-                        candidate_span.arg(k as u64);
-                        let checked = catch_unwind(AssertUnwindSafe(|| {
-                            if fault::panic_candidate(&kernel.name) {
-                                event(
-                                    &names::FAULT_INJECTED,
-                                    Some(Symbol::intern("panic_candidate")),
-                                    k as u64,
-                                );
-                                panic!("injected candidate panic");
-                            }
-                            let vcs = generate_vcs(&nest, &kernel.assumptions, invariants, &post);
-                            // Fast screen: bounded checking on reachable states.
-                            match session.find_counterexample(&vcs) {
-                                Ok(None) => {}
-                                Ok(Some(_)) | Err(_) => return None,
-                            }
-                            // Sound check.
-                            if let Some(stall) = fault::prover_stall(&kernel.name) {
-                                event(
-                                    &names::FAULT_INJECTED,
-                                    Some(Symbol::intern("prover_stall")),
-                                    k as u64,
-                                );
-                                std::thread::sleep(stall);
-                            }
-                            let proving = Instant::now();
-                            let prove_span = span(&names::PROVE_SESSION);
-                            let (verdict, attempts) =
-                                config
-                                    .prover
-                                    .verify_all_session(&vcs, budget, &prover_session);
-                            drop(prove_span);
-                            prove_ns
-                                .fetch_add(proving.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            verdict.is_valid().then_some(attempts)
-                        }));
-                        match checked {
-                            Ok(result) => result,
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                event(&names::WORKER_CRASHED, None, k as u64);
-                                let mut slot = panicked.lock().unwrap();
-                                slot.get_or_insert(msg);
-                                halt.store(true, Ordering::Relaxed);
-                                None
-                            }
+                        let vcs = generate_vcs(&nest, &kernel.assumptions, invariants, &post);
+                        // Fast screen: bounded checking on reachable states.
+                        match session.find_counterexample(&vcs) {
+                            Ok(None) => {}
+                            Ok(Some(_)) | Err(_) => return None,
                         }
-                    },
-                );
+                        // Sound check.
+                        if let Some(stall) = fault::prover_stall(&kernel.name) {
+                            event(
+                                &names::FAULT_INJECTED,
+                                Some(Symbol::intern("prover_stall")),
+                                k as u64,
+                            );
+                            std::thread::sleep(stall);
+                        }
+                        let proving = Instant::now();
+                        let prove_span = span(&names::PROVE_SESSION);
+                        let (verdict, attempts) =
+                            config
+                                .prover
+                                .verify_all_session(&vcs, budget, &prover_session);
+                        drop(prove_span);
+                        prove_ns += proving.elapsed().as_nanos() as u64;
+                        verdict.is_valid().then_some(attempts)
+                    }));
+                    match checked {
+                        Ok(None) => {}
+                        Ok(Some(attempts)) => {
+                            accepted = Some((k, attempts));
+                            break;
+                        }
+                        Err(payload) => {
+                            event(&names::WORKER_CRASHED, None, k as u64);
+                            panicked = Some(panic_message(payload.as_ref()));
+                            break;
+                        }
+                    }
+                }
                 // Per-kernel aggregation goes through the metrics registry:
                 // fill a `MetricSet` from the session counters, derive the
                 // `PhaseTimings` façade from it, and flush it into the
@@ -442,7 +427,7 @@ pub fn synthesize_governed_with_phases(
                 kernel_metrics.add(ids.screened, session.screened());
                 kernel_metrics.add(ids.survivors, session.survivors());
                 kernel_metrics.add(ids.batch_scans, session.batch_scans());
-                kernel_metrics.add(ids.prove_ns, prove_ns.into_inner());
+                kernel_metrics.add(ids.prove_ns, prove_ns);
                 kernel_metrics.add(ids.oblig_hits, prover_session.hits());
                 kernel_metrics.add(ids.oblig_misses, prover_session.misses());
                 kernel_metrics.add(
@@ -469,7 +454,7 @@ pub fn synthesize_governed_with_phases(
                         phase,
                     );
                 }
-                if let Some(panic) = panicked.into_inner().unwrap() {
+                if let Some(panic) = panicked {
                     return (Err(SynthesisFailure::Crashed { panic }), phase);
                 }
                 iterations = peak_candidates;

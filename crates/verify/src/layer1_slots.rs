@@ -1,7 +1,7 @@
 //! Layer 1b — exhaustive model checking of the VC bytecode compiler and
 //! the SoA batch executor against the tree-walking evaluator.
 //!
-//! A fixed 3-point 1D kernel is executed once (all tiers, all trials) to
+//! A fixed 3-point 1D kernel is executed once (all sizes, all trials) to
 //! capture its reachable machine states. Then every VC in a small,
 //! *completely enumerated* grammar is checked on every captured state by
 //! both engines:
@@ -20,10 +20,10 @@
 //! Every (VC, state) pair must agree exactly between the compiled scalar
 //! engine and the tree interpreter (`Vacuous`/`Holds`/`Violated`, and
 //! errors must pair with errors). Each enumerated VC chunk is additionally
-//! screened through `find_counterexample` (staged, kill-ordered, SoA
-//! batched — including the lane-uniform offset fast path) against
-//! `find_counterexample_exhaustive`, pinning verdict agreement of the whole
-//! adaptive machinery on the same enumerated programs.
+//! screened through `find_counterexample` (SoA batched, including the
+//! lane-uniform offset fast path) against `find_counterexample_exhaustive`,
+//! pinning verdict agreement of the whole batched screen on the same
+//! enumerated programs.
 
 use crate::report::CheckReport;
 use stng_ir::ir::{CmpOp, IrExpr};
@@ -154,19 +154,19 @@ fn check_set(session: &CheckSession, vcs: &[Vc], check: &mut CheckReport, outcom
         }
     }
 
-    // The same enumerated set through the full adaptive screen (SoA batch,
-    // kill ordering, escalation) against the exhaustive reference scan.
-    let adaptive = session.find_counterexample(vcs);
+    // The same enumerated set through the batched screen against the
+    // exhaustive reference scan.
+    let batched = session.find_counterexample(vcs);
     let exhaustive = session.find_counterexample_exhaustive(vcs);
     let agree = matches!(
-        (&adaptive, &exhaustive),
+        (&batched, &exhaustive),
         (Ok(None), Ok(None)) | (Ok(Some(_)), Ok(Some(_))) | (Err(_), Err(_))
     );
     check.cases += 1;
     if !agree {
         check.fail(format!(
-            "adaptive screen verdict diverged on an enumerated chunk: \
-             adaptive {adaptive:?} vs exhaustive {exhaustive:?}"
+            "batched screen verdict diverged on an enumerated chunk: \
+             batched {batched:?} vs exhaustive {exhaustive:?}"
         ));
     }
 }
@@ -185,19 +185,6 @@ pub fn run(deep: bool) -> Vec<CheckReport> {
         },
         kernel,
     );
-    // Touch every tier so `captured_units` sees them all.
-    let warmup = Vc {
-        name: "warmup".into(),
-        hypotheses: vec![],
-        body: vec![],
-        conclusion: Pred::Bool(IrExpr::cmp(CmpOp::Eq, IrExpr::Int(0), IrExpr::Int(0))),
-        int_scalars: vec![],
-        scope: VcScope::Initial,
-    };
-    session
-        .find_counterexample(std::slice::from_ref(&warmup))
-        .expect("warmup screen succeeds");
-
     let comparisons = comparisons();
     // Hypothesis options: none, or one comparison (sampled exhaustively
     // from a stride through the comparison set to keep the product

@@ -3,7 +3,7 @@
 //! Every subsystem with a fast/slow pair is registered here as a
 //! [`DiffOracle`] the harness drives: the three oracles that previously
 //! lived only as scattered release-mode tests (compiled checking, compiled
-//! proving, the adaptive screen), plus two new members — canon/fingerprint
+//! proving, the batched screen), plus two new members — canon/fingerprint
 //! and disk-cache rehydration. The release tests remain the tier-1 /
 //! CI-release depth; the registry re-drives the same properties with
 //! counted (rather than panicking) verdicts so one `stng-verify` run
@@ -50,7 +50,7 @@ pub fn registry() -> Vec<Box<dyn DiffOracle>> {
     vec![
         Box::new(CompiledChecking),
         Box::new(CompiledProving),
-        Box::new(AdaptiveScreen),
+        Box::new(BatchedScreen),
         Box::new(CanonFingerprint),
         Box::new(CacheRehydration),
     ]
@@ -354,13 +354,13 @@ impl DiffOracle for CompiledProving {
     }
 }
 
-/// The staged, kill-ordered, batched screen vs the exhaustive reference
-/// scan — verdict (presence/absence/error) agreement.
-struct AdaptiveScreen;
+/// The batched, parallel-unit screen vs the exhaustive reference scan —
+/// verdict (presence/absence/error) agreement.
+struct BatchedScreen;
 
-impl DiffOracle for AdaptiveScreen {
+impl DiffOracle for BatchedScreen {
     fn name(&self) -> &'static str {
-        "diff.adaptive-screen"
+        "diff.batched-screen"
     }
 
     fn run(&self, tier: Tier) -> CheckReport {
@@ -378,18 +378,18 @@ impl DiffOracle for AdaptiveScreen {
                 kernel.clone(),
             );
             let families = vc_families(&kernel, &nest);
-            // Two rounds: the second runs under kill-count-warmed ordering.
+            // Two rounds: the second scans the units the first captured.
             for round in 0..2 {
                 for (family, vcs) in &families {
                     check.cases += 1;
-                    let adaptive = session.find_counterexample(vcs);
+                    let batched = session.find_counterexample(vcs);
                     let exhaustive = session.find_counterexample_exhaustive(vcs);
-                    match (&adaptive, &exhaustive) {
+                    match (&batched, &exhaustive) {
                         (Ok(None), Ok(None)) => verdicts[0] += 1,
                         (Ok(Some(_)), Ok(Some(_))) => verdicts[1] += 1,
                         (Err(_), Err(_)) => verdicts[2] += 1,
                         _ => check.fail(format!(
-                            "{name}/{family}/round{round}: adaptive {adaptive:?} \
+                            "{name}/{family}/round{round}: batched {batched:?} \
                              vs exhaustive {exhaustive:?}"
                         )),
                     }
