@@ -63,8 +63,6 @@ struct KernelMeasurement {
     bounded_ms: f64,
     prove_ms: f64,
     captures: usize,
-    oblig_hits: u64,
-    oblig_misses: u64,
     core_hits: u64,
     screened: u64,
     survivors: u64,
@@ -118,8 +116,6 @@ fn measure() -> (Vec<KernelMeasurement>, f64) {
             bounded_ms: phase.bounded_ms(),
             prove_ms: phase.prove_ms(),
             captures: phase.captures,
-            oblig_hits: phase.oblig_hits,
-            oblig_misses: phase.oblig_misses,
             core_hits: phase.core_hits,
             screened: phase.screened,
             survivors: phase.survivors,
@@ -165,9 +161,8 @@ fn kernels_json(rows: &[KernelMeasurement]) -> String {
              \"soundly_verified\": {}, \"cegis_iterations\": {}, \"prover_attempts\": {}, \
              \"peak_candidates\": {}, \"control_bits\": {}, \"postcond_nodes\": {}, \
              \"capture_ms\": {:.3}, \"bounded_ms\": {:.3}, \"prove_ms\": {:.3}, \
-             \"captures\": {}, \"oblig_hits\": {}, \"oblig_misses\": {}, \
-             \"core_hits\": {}, \"screened\": {}, \"survivors\": {}, \
-             \"batch_scans\": {}}}",
+             \"captures\": {}, \"core_hits\": {}, \"screened\": {}, \
+             \"survivors\": {}, \"batch_scans\": {}}}",
             row.name,
             row.suite,
             row.lift_ms,
@@ -182,8 +177,6 @@ fn kernels_json(rows: &[KernelMeasurement]) -> String {
             row.bounded_ms,
             row.prove_ms,
             row.captures,
-            row.oblig_hits,
-            row.oblig_misses,
             row.core_hits,
             row.screened,
             row.survivors,
@@ -351,16 +344,12 @@ fn main() {
     )
     .expect("writing to a String cannot fail");
     // Phase breakdown: where checking time goes across the whole corpus,
-    // plus the compiled-proving counters (obligation memo and learned-core
-    // hits) that explain the prove column.
+    // plus the learned-core hits that explain the prove column.
     let (cap_total, bounded_total, prove_total): (f64, f64, f64) =
         rows.iter().fold((0.0, 0.0, 0.0), |(c, b, p), r| {
             (c + r.capture_ms, b + r.bounded_ms, p + r.prove_ms)
         });
-    let (hits_total, misses_total, cores_total) = rows.iter().fold((0, 0, 0), |(h, m, c), r| {
-        (h + r.oblig_hits, m + r.oblig_misses, c + r.core_hits)
-    });
-    let memo_rate = hits_total as f64 / (hits_total + misses_total).max(1) as f64;
+    let cores_total: u64 = rows.iter().map(|r| r.core_hits).sum();
     let (screened_total, survivors_total, bscans_total) =
         rows.iter().fold((0, 0, 0), |(s, v, b), r| {
             (s + r.screened, v + r.survivors, b + r.batch_scans)
@@ -368,8 +357,7 @@ fn main() {
     writeln!(
         out,
         "  \"phases\": {{\"capture_ms\": {cap_total:.3}, \"bounded_ms\": {bounded_total:.3}, \
-         \"prove_ms\": {prove_total:.3}, \"oblig_hits\": {hits_total}, \
-         \"oblig_misses\": {misses_total}, \"core_hits\": {cores_total}, \
+         \"prove_ms\": {prove_total:.3}, \"core_hits\": {cores_total}, \
          \"screened\": {screened_total}, \"survivors\": {survivors_total}, \
          \"batch_scans\": {bscans_total}}},",
     )
@@ -378,11 +366,7 @@ fn main() {
         "phase breakdown: capture {cap_total:.1} ms, bounded check {bounded_total:.1} ms, \
          prove {prove_total:.1} ms (of {total_ms:.1} ms total)"
     );
-    println!(
-        "prover memo: {hits_total} hits / {misses_total} misses ({:.1}% hit rate), \
-         {cores_total} learned-core short-circuits",
-        memo_rate * 100.0
-    );
+    println!("prover: {cores_total} learned-core short-circuits");
     println!(
         "bounded screen: {screened_total} candidates screened, {survivors_total} survived \
          to the prover ({:.1}% killed), {bscans_total} batched sweeps",

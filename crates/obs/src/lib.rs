@@ -62,8 +62,8 @@ pub mod names {
     pub static BOUNDED_SCAN: Name = Name::new("bounded.scan");
     /// The sound prover over one candidate's VC set.
     pub static PROVE_SESSION: Name = Name::new("prove.session");
-    /// One `ProofSession::prove` obligation (detail: `memo_hit` /
-    /// `memo_miss`, arg: remaining case-split depth).
+    /// One `ProofSession::prove` obligation (arg: remaining case-split
+    /// depth).
     pub static PROVE_OBLIG: Name = Name::new("prove.oblig");
     /// Symbolic execution for template generation.
     pub static SYM_EXEC: Name = Name::new("sym.exec");
@@ -77,9 +77,6 @@ pub mod names {
     /// Cache-lookup outcome details.
     pub static HIT: Name = Name::new("hit");
     pub static MISS: Name = Name::new("miss");
-    /// Prove-obligation outcome details.
-    pub static MEMO_HIT: Name = Name::new("memo_hit");
-    pub static MEMO_MISS: Name = Name::new("memo_miss");
 
     /// Instant events (attached to the enclosing span's thread track).
     /// A budget limit tripped and the kernel degraded to bounded validation

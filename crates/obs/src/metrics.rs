@@ -10,7 +10,7 @@
 //! Kinds are semantic, not structural (every scalar cell is a `u64`):
 //!
 //! * **Counter** — monotonic event counts with deterministic semantics
-//!   (cache hits, captures, memo misses). Single-threaded runs of the same
+//!   (cache hits, captures, screened candidates). Single-threaded runs of the same
 //!   input produce byte-identical counter snapshots; the determinism test
 //!   pins this.
 //! * **TimeNs** — monotonic nanosecond accumulators: schedule-dependent,
@@ -304,8 +304,6 @@ pub struct PhaseMetrics {
     pub bounded_ns: MetricId,
     pub prove_ns: MetricId,
     pub captures: MetricId,
-    pub oblig_hits: MetricId,
-    pub oblig_misses: MetricId,
     pub core_hits: MetricId,
     pub screened: MetricId,
     pub survivors: MetricId,
@@ -320,8 +318,6 @@ pub fn phase() -> &'static PhaseMetrics {
         bounded_ns: register("phase.bounded_ns", MetricKind::TimeNs).id(),
         prove_ns: register("phase.prove_ns", MetricKind::TimeNs).id(),
         captures: register("phase.captures", MetricKind::Counter).id(),
-        oblig_hits: register("prover.oblig_hits", MetricKind::Counter).id(),
-        oblig_misses: register("prover.oblig_misses", MetricKind::Counter).id(),
         core_hits: register("prover.core_hits", MetricKind::Counter).id(),
         screened: register("bounded.screened", MetricKind::Counter).id(),
         survivors: register("bounded.survivors", MetricKind::Counter).id(),

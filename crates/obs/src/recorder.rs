@@ -56,7 +56,7 @@ pub struct Event {
     pub kind: EventKind,
     /// Nanoseconds since the recorder's arm epoch.
     pub ts_ns: u64,
-    /// Optional interned qualifier (`hit`, `memo_miss`, a degrade reason…).
+    /// Optional interned qualifier (`hit`, `miss`, a degrade reason…).
     pub detail: Option<Symbol>,
     /// Free numeric payload (candidate index, split depth…).
     pub arg: u64,
@@ -286,7 +286,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Attaches a qualifier reported in the span's close event (e.g.
-    /// `memo_hit`).
+    /// `hit`).
     pub fn detail(&mut self, detail: &Name) {
         if self.name.is_some() {
             self.detail = Some(detail.symbol());

@@ -215,21 +215,16 @@ impl BatchReport {
                             ),
                         ];
                         if timings {
-                            // Memo/core counters live with the timings: hit
-                            // totals depend on how sibling kernels and
-                            // bounded-check workers interleave, so they are
-                            // schedule-dependent exactly like durations and
-                            // must stay out of the canonical encoding.
+                            // Core hits and batch sweeps live with the
+                            // timings: they depend on what earlier lifts
+                            // learned and on how bounded-check workers
+                            // interleave, so like durations they stay out of
+                            // the canonical encoding.
                             fields.extend([
                                 ("lift_ms", Json::Num((k.lift_ms * 1e3).round() / 1e3)),
                                 ("capture_ms", ms(k.report.phase.capture_ns)),
                                 ("bounded_ms", ms(k.report.phase.bounded_ns)),
                                 ("prove_ms", ms(k.report.phase.prove_ns)),
-                                ("oblig_hits", Json::Num(k.report.phase.oblig_hits as f64)),
-                                (
-                                    "oblig_misses",
-                                    Json::Num(k.report.phase.oblig_misses as f64),
-                                ),
                                 ("core_hits", Json::Num(k.report.phase.core_hits as f64)),
                                 ("screened", Json::Num(k.report.phase.screened as f64)),
                                 ("survivors", Json::Num(k.report.phase.survivors as f64)),

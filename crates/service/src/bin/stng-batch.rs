@@ -20,8 +20,8 @@
 //! * `--threads <n>` — lifting worker threads (default: all cores).
 //! * `--no-sweep` — keep the expression arenas between passes.
 //! * `--profile` — print a per-kernel phase-breakdown table for the final
-//!   pass (capture / bounded / prove times plus the prover's obligation-memo
-//!   and learned-core hit rates, the bounded screen's
+//!   pass (capture / bounded / prove times plus the prover's learned-core
+//!   hits, the bounded screen's
 //!   screened/survivor/batch-sweep counters, and whether the cache served
 //!   the row), so prover and screen wins are visible without parsing the
 //!   JSON report.
@@ -172,15 +172,13 @@ fn parse_args() -> Result<Args, String> {
 fn print_profile(pass: &stng_service::batch::BatchPass) {
     println!(
         "\nprofile (pass {}): per-kernel phase breakdown\n\
-         {:<24} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
+         {:<24} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6} {:>5} {:>5} {:>6}",
         pass.number,
         "kernel",
         "lift_ms",
         "capt_ms",
         "bound_ms",
         "prove_ms",
-        "memo%",
-        "oblig",
         "cores",
         "screen",
         "surv",
@@ -192,19 +190,13 @@ fn print_profile(pass: &stng_service::batch::BatchPass) {
     let mut total_cached = 0usize;
     for k in &pass.kernels {
         let p = &k.report.phase;
-        let rate = p
-            .oblig_hit_rate()
-            .map(|r| format!("{:.1}", r * 100.0))
-            .unwrap_or_else(|| "-".to_string());
         println!(
-            "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
+            "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6} {:>5} {:>5} {:>6}",
             k.kernel_name,
             k.lift_ms,
             p.capture_ms(),
             p.bounded_ms(),
             p.prove_ms(),
-            rate,
-            p.oblig_hits + p.oblig_misses,
             p.core_hits,
             p.screened,
             p.survivors,
@@ -215,19 +207,13 @@ fn print_profile(pass: &stng_service::batch::BatchPass) {
         total_cached += k.report.cached as usize;
         total.absorb(p);
     }
-    let rate = total
-        .oblig_hit_rate()
-        .map(|r| format!("{:.1}", r * 100.0))
-        .unwrap_or_else(|| "-".to_string());
     println!(
-        "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
+        "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6} {:>5} {:>5} {:>6}",
         "total",
         total_lift_ms,
         total.capture_ms(),
         total.bounded_ms(),
         total.prove_ms(),
-        rate,
-        total.oblig_hits + total.oblig_misses,
         total.core_hits,
         total.screened,
         total.survivors,

@@ -63,6 +63,24 @@ mod obs_counters {
     pub static QUARANTINED: Lazy = Lazy::counter("cache.quarantined");
     pub static ORPHANS_SWEPT: Lazy = Lazy::counter("cache.orphans_swept");
     pub static IO_RETRIES: Lazy = Lazy::counter("cache.io_retries");
+
+    /// Registers every cache counter, so a registry snapshot lists the ones
+    /// nothing has moved yet instead of omitting them.
+    pub fn register() {
+        for counter in [
+            &HITS,
+            &MISSES,
+            &DISK_HITS,
+            &INSERTS,
+            &EVICTIONS,
+            &DISK_WRITES,
+            &QUARANTINED,
+            &ORPHANS_SWEPT,
+            &IO_RETRIES,
+        ] {
+            counter.handle();
+        }
+    }
 }
 
 /// Cache key: structural fingerprint + pipeline-configuration digest.
@@ -195,6 +213,7 @@ impl LiftResultCache {
     }
 
     fn build(capacity: usize, disk_dir: Option<PathBuf>) -> LiftResultCache {
+        obs_counters::register();
         LiftResultCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             per_shard_capacity: capacity.div_ceil(SHARDS).max(1),

@@ -336,8 +336,6 @@ fn encode_phase(p: &PhaseTimings) -> Json {
         ("bounded_ns", Json::Num(p.bounded_ns as f64)),
         ("prove_ns", Json::Num(p.prove_ns as f64)),
         ("captures", nu(p.captures)),
-        ("oblig_hits", Json::Num(p.oblig_hits as f64)),
-        ("oblig_misses", Json::Num(p.oblig_misses as f64)),
         ("core_hits", Json::Num(p.core_hits as f64)),
         ("screened", Json::Num(p.screened as f64)),
         ("survivors", Json::Num(p.survivors as f64)),
@@ -351,8 +349,6 @@ fn decode_phase(v: &Json) -> DecodeResult<PhaseTimings> {
         bounded_ns: field(v, "bounded_ns")?.as_u64().ok_or("bounded_ns")?,
         prove_ns: field(v, "prove_ns")?.as_u64().ok_or("prove_ns")?,
         captures: usize_field(v, "captures")?,
-        oblig_hits: field(v, "oblig_hits")?.as_u64().ok_or("oblig_hits")?,
-        oblig_misses: field(v, "oblig_misses")?.as_u64().ok_or("oblig_misses")?,
         core_hits: field(v, "core_hits")?.as_u64().ok_or("core_hits")?,
         screened: field(v, "screened")?.as_u64().ok_or("screened")?,
         survivors: field(v, "survivors")?.as_u64().ok_or("survivors")?,
@@ -365,8 +361,9 @@ fn decode_phase(v: &Json) -> DecodeResult<PhaseTimings> {
 /// checksum-line framing around the document (see `cache::decode_checked`);
 /// schema 4 added the prover memo/core counters to the phase block;
 /// schema 5 added the bounded-screen counters
-/// (screened/survivors/batch_scans).
-pub const SCHEMA: u64 = 5;
+/// (screened/survivors/batch_scans); schema 6 dropped the prover memo
+/// hit/miss counters from the phase block.
+pub const SCHEMA: u64 = 6;
 
 /// Encodes a cache entry into its on-disk JSON document.
 pub fn encode_entry(e: &CachedLift) -> Json {
@@ -503,8 +500,6 @@ mod tests {
                 bounded_ns: 2_000_000,
                 prove_ns: 3_000_000,
                 captures: 6,
-                oblig_hits: 120,
-                oblig_misses: 40,
                 core_hits: 7,
                 screened: 11,
                 survivors: 2,

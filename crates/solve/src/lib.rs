@@ -20,26 +20,23 @@ pub mod bounded;
 pub mod lin;
 mod lin_compile;
 pub mod norm;
-pub mod oblig;
 pub mod prover;
 
 pub use bounded::{BoundedChecker, Counterexample};
 pub use lin::{LinCtx, SplitCase};
 pub use norm::{NormExpr, SymState};
-pub use oblig::ProverSession;
-pub use prover::{SmtLite, Verdict};
+pub use prover::{ProverSession, SmtLite, Verdict};
 
 /// Occupancy snapshots of every arena/memo owned by this crate: normal-form
-/// expressions, the Fourier–Motzkin verdict memo, learned infeasibility
-/// cores, and hash-consed proof obligations.
+/// expressions, the Fourier–Motzkin verdict memo and learned infeasibility
+/// cores.
 pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
     let mut out = norm::arena_stats();
     out.extend(lin::arena_stats());
-    out.push(oblig::arena_stats());
     out
 }
 
 /// Sweeps every arena/memo owned by this crate; returns entries evicted.
 pub fn retain_epoch(cutoff: u64) -> usize {
-    norm::retain_epoch(cutoff) + lin::retain_epoch(cutoff) + oblig::retain_epoch(cutoff)
+    norm::retain_epoch(cutoff) + lin::retain_epoch(cutoff)
 }

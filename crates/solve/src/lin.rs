@@ -32,6 +32,7 @@
 //! run the original tree-walking elimination directly — the independent
 //! oracle the corpus-wide differential test compares against.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
@@ -107,13 +108,16 @@ type TaggedCore = (Vec<Affine>, AtomicU64);
 /// with the epoch of its last use so sweeps keep hot cores.
 static CORES: OnceLock<RwLock<Vec<TaggedCore>>> = OnceLock::new();
 
-/// Number of feasibility queries short-circuited by a learned core.
-static CORE_HITS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Feasibility queries short-circuited by a learned core on this thread.
+    static CORE_HITS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total core short-circuits since process start (monotonic; callers read
-/// deltas around a synthesis run).
+/// Core short-circuits on the calling thread since it started (monotonic;
+/// callers read deltas around the proving they run on that thread, so
+/// concurrent lifts on other threads never leak into them).
 pub fn core_hit_count() -> u64 {
-    CORE_HITS.load(Ordering::Relaxed)
+    CORE_HITS.with(Cell::get)
 }
 
 /// Occupancy snapshots of the Fourier–Motzkin verdict memo and the learned
@@ -181,7 +185,7 @@ fn core_subsumed(key: &[RowRef]) -> bool {
     for (core, tag) in cores.iter() {
         if core.len() <= key.len() && sorted_subset(core, key) {
             tag.store(now, Ordering::Relaxed);
-            CORE_HITS.fetch_add(1, Ordering::Relaxed);
+            CORE_HITS.with(|hits| hits.set(hits.get() + 1));
             return true;
         }
     }
@@ -322,16 +326,6 @@ impl LinCtx {
     /// Returns `true` when the context has no constraints.
     pub fn is_empty(&self) -> bool {
         self.constraints.is_empty()
-    }
-
-    /// The canonical constraint set (tightened, sorted, deduplicated) plus
-    /// the definition layer — everything a feasibility or entailment query
-    /// can observe, in the shape the prover's obligation memo hashes.
-    pub fn obligation_key(&self) -> (Vec<Affine>, Vec<(Symbol, Affine)>) {
-        (
-            self.canon.iter().map(|r| r.0.clone()).collect(),
-            self.defs.clone(),
-        )
     }
 
     /// Applies the definition layer to an affine expression.
@@ -915,6 +909,30 @@ mod tests {
         assert!(
             core_hit_count() > before,
             "superset query must hit the core"
+        );
+    }
+
+    #[test]
+    fn core_hits_are_counted_per_thread() {
+        let before = core_hit_count();
+        std::thread::spawn(|| {
+            let mut small = LinCtx::new();
+            small.assume_le(&var("tcorex"), &constant(3));
+            small.assume_le(&constant(5), &var("tcorex"));
+            assert!(small.is_infeasible());
+            let mut big = LinCtx::new();
+            big.assume_le(&var("tcorea"), &constant(7));
+            big.assume_le(&var("tcorex"), &constant(3));
+            big.assume_le(&constant(5), &var("tcorex"));
+            assert!(big.is_infeasible());
+            assert!(core_hit_count() > 0, "the spawned thread must hit the core");
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            core_hit_count(),
+            before,
+            "another thread's core hits must not show on this one"
         );
     }
 }

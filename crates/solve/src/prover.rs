@@ -23,8 +23,8 @@
 
 use crate::lin::{LinCtx, SplitCase, SPLIT_CASES};
 use crate::norm::{NAtom, NormErr, NormExpr, Store, SymState};
-use crate::oblig::ProverSession;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use stng_intern::guard::Budget;
 use stng_intern::Symbol;
 use stng_ir::ir::{Affine, IrExpr, IrStmt};
@@ -87,57 +87,47 @@ impl SmtLite {
 
     /// Verifies a set of VCs; valid only if every one is valid.
     pub fn verify_all(&self, vcs: &[Vc]) -> Verdict {
-        self.verify_all_counting(vcs).0
+        self.verify_all_governed(vcs, &Budget::unlimited()).0
     }
 
     /// Like [`SmtLite::verify_all`], additionally returning the total number
-    /// of proof attempts spent (the case-split search effort), for
-    /// benchmarking instrumentation.
-    pub fn verify_all_counting(&self, vcs: &[Vc]) -> (Verdict, usize) {
-        self.verify_all_governed(vcs, &Budget::unlimited())
-    }
-
-    /// Like [`SmtLite::verify_all_counting`], but every proof attempt also
-    /// charges the shared [`Budget`] (attempt pool + wall-clock deadline).
-    /// Exhaustion yields `Verdict::Unknown` — sound but incomplete, exactly
-    /// like the prover's own internal limits; the caller distinguishes the
-    /// cases via [`Budget::exhausted`].
+    /// of proof attempts spent (the case-split search effort); every attempt
+    /// also charges the shared [`Budget`] (attempt pool + wall-clock
+    /// deadline). Exhaustion yields `Verdict::Unknown` — sound but
+    /// incomplete, exactly like the prover's own internal limits; the caller
+    /// distinguishes the cases via [`Budget::exhausted`].
     pub fn verify_all_governed(&self, vcs: &[Vc], budget: &Budget) -> (Verdict, usize) {
-        self.verify_all_with(vcs, budget, None, false)
+        self.verify_all_with(vcs, budget, false)
     }
 
-    /// Memoizing verification: like [`SmtLite::verify_all_governed`] but
-    /// every settled case-split subtree is recorded in (and replayed from)
-    /// the [`ProverSession`], which CEGIS shares across all candidates of
-    /// one kernel. Memo hits charge neither the returned attempt count nor
-    /// the [`Budget`] — only genuinely new obligations cost anything.
+    /// [`SmtLite::verify_all_governed`] that also adds the attempts spent to
+    /// `session`. Exists only for the benchmark harness's traced stage
+    /// replay and goes away in the next benchmark change.
     pub fn verify_all_session(
         &self,
         vcs: &[Vc],
         budget: &Budget,
         session: &ProverSession,
     ) -> (Verdict, usize) {
-        self.verify_all_with(vcs, budget, Some(session), false)
+        let (verdict, attempts) = self.verify_all_governed(vcs, budget);
+        session
+            .attempts
+            .fetch_add(attempts as u64, Ordering::Relaxed);
+        (verdict, attempts)
     }
 
     /// Oracle verification: identical logic, but every [`LinCtx`] runs the
-    /// original tree-walking Fourier–Motzkin with no verdict memo, learned
-    /// cores, or obligation memoization. The corpus-wide differential test
-    /// pins `verify_all_session` ≡ `verify_all_governed` ≡ this.
+    /// original tree-walking Fourier–Motzkin with no verdict memo or learned
+    /// cores. The corpus-wide differential test pins
+    /// `verify_all_governed` ≡ this.
     pub fn verify_all_legacy(&self, vcs: &[Vc], budget: &Budget) -> (Verdict, usize) {
-        self.verify_all_with(vcs, budget, None, true)
+        self.verify_all_with(vcs, budget, true)
     }
 
-    fn verify_all_with(
-        &self,
-        vcs: &[Vc],
-        budget: &Budget,
-        session: Option<&ProverSession>,
-        legacy: bool,
-    ) -> (Verdict, usize) {
+    fn verify_all_with(&self, vcs: &[Vc], budget: &Budget, legacy: bool) -> (Verdict, usize) {
         let mut attempts = 0;
         for vc in vcs {
-            let (verdict, spent) = self.verify_vc_with(vc, budget, session, legacy);
+            let (verdict, spent) = self.prove_vc(vc, budget, legacy);
             attempts += spent;
             if let Verdict::Unknown(reason) = verdict {
                 return (Verdict::Unknown(format!("{}: {reason}", vc.name)), attempts);
@@ -146,34 +136,7 @@ impl SmtLite {
         (Verdict::Valid, attempts)
     }
 
-    /// Verifies a single VC.
-    pub fn verify_vc(&self, vc: &Vc) -> Verdict {
-        self.verify_vc_counting(vc).0
-    }
-
-    /// Like [`SmtLite::verify_vc`], additionally returning the number of
-    /// proof attempts spent.
-    pub fn verify_vc_counting(&self, vc: &Vc) -> (Verdict, usize) {
-        self.verify_vc_governed(vc, &Budget::unlimited())
-    }
-
-    /// Budget-governed single-VC verification; see
-    /// [`SmtLite::verify_all_governed`].
-    pub fn verify_vc_governed(&self, vc: &Vc, budget: &Budget) -> (Verdict, usize) {
-        self.verify_vc_with(vc, budget, None, false)
-    }
-
-    fn verify_vc_with(
-        &self,
-        vc: &Vc,
-        budget: &Budget,
-        memo: Option<&ProverSession>,
-        legacy: bool,
-    ) -> (Verdict, usize) {
-        // The memo key's VC component is the full structural rendering:
-        // distinct candidates' distinct VCs get distinct ids, shared ones
-        // (loop bounds, frame conditions) collapse onto one.
-        let vc_key = memo.map(|m| m.vc_id(&format!("{vc:?}"))).unwrap_or(0);
+    fn prove_vc(&self, vc: &Vc, budget: &Budget, legacy: bool) -> (Verdict, usize) {
         let mut session = ProofSession {
             vc,
             hyp_clauses: Vec::new(),
@@ -181,8 +144,6 @@ impl SmtLite {
             attempts: 0,
             max_attempts: self.max_attempts,
             budget,
-            memo,
-            vc_key,
         };
         let mut hyp_real_env = BTreeMap::new();
         // Partition hypotheses.
@@ -237,6 +198,32 @@ impl SmtLite {
     }
 }
 
+/// Attempt tally for [`SmtLite::verify_all_session`]: `misses` is the
+/// attempts charged through it and `hits` is always 0. Exists only for the
+/// benchmark harness's traced stage replay and goes away in the next
+/// benchmark change.
+#[derive(Default)]
+pub struct ProverSession {
+    attempts: AtomicU64,
+}
+
+impl ProverSession {
+    /// An empty tally.
+    pub fn new() -> ProverSession {
+        ProverSession::default()
+    }
+
+    /// Always 0: nothing is replayed.
+    pub fn hits(&self) -> u64 {
+        0
+    }
+
+    /// Proof attempts charged through this session.
+    pub fn misses(&self) -> u64 {
+        self.attempts.load(Ordering::Relaxed)
+    }
+}
+
 struct ProofSession<'a> {
     vc: &'a Vc,
     hyp_clauses: Vec<&'a QuantClause>,
@@ -244,11 +231,6 @@ struct ProofSession<'a> {
     attempts: usize,
     max_attempts: usize,
     budget: &'a Budget,
-    /// Kernel-level obligation memo shared across candidates; `None` runs
-    /// the un-memoized search.
-    memo: Option<&'a ProverSession>,
-    /// This VC's id in the memo's key space.
-    vc_key: u32,
 }
 
 impl<'a> ProofSession<'a> {
@@ -258,20 +240,9 @@ impl<'a> ProofSession<'a> {
         }
         // One span per obligation; recursion through `split` nests them, so
         // an armed trace shows the case-split tree. The close event carries
-        // the memo outcome and the remaining split depth.
+        // the remaining split depth.
         let mut oblig_span = stng_obs::span(&stng_obs::names::PROVE_OBLIG);
         oblig_span.arg(depth as u64);
-        // Settled subtree? Replaying a memoized verdict charges nothing —
-        // neither the attempt counter nor the governed budget — so a warm
-        // memo can never push a kernel onto the degradation ladder.
-        let handle = self.memo.map(|m| m.ctx_handle(ctx));
-        if let (Some(memo), Some(handle)) = (self.memo, handle) {
-            if let Some(verdict) = memo.lookup(self.vc_key, handle, depth) {
-                oblig_span.detail(&stng_obs::names::MEMO_HIT);
-                return verdict;
-            }
-        }
-        oblig_span.detail(&stng_obs::names::MEMO_MISS);
         self.attempts += 1;
         if self.attempts > self.max_attempts {
             return Err("proof attempt budget exhausted".to_string());
@@ -282,7 +253,7 @@ impl<'a> ProofSession<'a> {
         if let Err(reason) = self.budget.consume_prover_attempts(1) {
             return Err(format!("prover budget exhausted ({reason})"));
         }
-        let verdict = match self.attempt(ctx) {
+        match self.attempt(ctx) {
             Ok(()) => Ok(()),
             Err(Failure::Hard(msg)) => Err(msg),
             Err(Failure::Ambiguous(a, b)) => {
@@ -314,17 +285,7 @@ impl<'a> ProofSession<'a> {
                     }
                 }
             }
-        };
-        // Memoize clean outcomes only: a verdict reached after tripping the
-        // attempt cap or the governed budget reflects resource exhaustion,
-        // not the obligation, and a later candidate with budget left must
-        // be allowed to retry it.
-        if let (Some(memo), Some(handle)) = (self.memo, handle) {
-            if self.attempts <= self.max_attempts && self.budget.exhausted().is_none() {
-                memo.record(self.vc_key, handle, depth, verdict.clone());
-            }
         }
-        verdict
     }
 
     fn split(&mut self, ctx: &LinCtx, depth: usize, a: &Affine, b: &Affine) -> Result<(), String> {
@@ -700,11 +661,8 @@ mod tests {
         let prover = SmtLite::new();
         for name in ["initiation(j)", "descend(j->i)"] {
             let vc = vcs.iter().find(|vc| vc.name == name).unwrap();
-            assert!(
-                prover.verify_vc(vc).is_valid(),
-                "{name} should be valid: {:?}",
-                prover.verify_vc(vc)
-            );
+            let verdict = prover.verify_all(std::slice::from_ref(vc));
+            assert!(verdict.is_valid(), "{name} should be valid: {verdict:?}");
         }
     }
 
@@ -713,7 +671,7 @@ mod tests {
         let vcs = running_example_vcs();
         let prover = SmtLite::new();
         let vc = vcs.iter().find(|vc| vc.name == "preservation(i)").unwrap();
-        let verdict = prover.verify_vc(vc);
+        let verdict = prover.verify_all(std::slice::from_ref(vc));
         assert!(
             verdict.is_valid(),
             "preservation should be valid: {verdict:?}"
@@ -726,7 +684,7 @@ mod tests {
         let prover = SmtLite::new();
         for name in ["ascend(i->j)", "exit"] {
             let vc = vcs.iter().find(|vc| vc.name == name).unwrap();
-            let verdict = prover.verify_vc(vc);
+            let verdict = prover.verify_all(std::slice::from_ref(vc));
             assert!(verdict.is_valid(), "{name} should be valid: {verdict:?}");
         }
     }
@@ -778,29 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_session_memo_replays_without_charging_budget() {
-        let vcs = running_example_vcs();
-        let prover = SmtLite::new();
-        let session = ProverSession::new();
-        let (cold, spent) = prover.verify_all_session(&vcs, &Budget::unlimited(), &session);
-        assert!(cold.is_valid());
-        assert!(spent > 0, "cold pass must do real proof work");
-        assert!(session.misses() > 0);
-        // Re-verifying the same VCs through the warm session must succeed
-        // from the memo alone: zero attempts charged, and a zero-token
-        // attempt budget never trips — a warm memo can never push a kernel
-        // onto the degradation ladder.
-        let zero = Budget::limited(None, Some(0), None);
-        let (warm, spent_warm) = prover.verify_all_session(&vcs, &zero, &session);
-        assert!(warm.is_valid());
-        assert_eq!(spent_warm, 0, "memo hits must not count as attempts");
-        assert!(
-            zero.exhausted().is_none(),
-            "memo hits must not charge the governed budget"
-        );
-    }
-
-    #[test]
     fn legacy_oracle_agrees_on_the_running_example() {
         let vcs = running_example_vcs();
         let prover = SmtLite::new();
@@ -820,6 +755,6 @@ mod tests {
             int_scalars: vec![],
             scope: stng_pred::vcgen::VcScope::Any,
         };
-        assert!(SmtLite::new().verify_vc(&vc).is_valid());
+        assert!(SmtLite::new().verify_all(&[vc]).is_valid());
     }
 }

@@ -1,20 +1,17 @@
-//! Differential property test for compiled proving: the memoized /
-//! compiled prover must agree with the legacy tree-walking prover on every
+//! Differential property test for compiled proving: the compiled prover
+//! must agree with the legacy tree-walking prover on every
 //! proof obligation of every corpus kernel — verdicts match exactly
 //! (including `Unknown` reasons), and budget-interruption classification
 //! matches under governed budgets.
 //!
-//! Three engines run over every VC set:
+//! Two engines run over every VC set:
 //!
 //! * **legacy** — `verify_all_legacy`: every `LinCtx` runs the original
-//!   tree-walking Fourier–Motzkin, no verdict memo, no learned cores, no
-//!   obligation memo (the independent oracle);
+//!   tree-walking Fourier–Motzkin, no verdict memo, no learned cores (the
+//!   independent oracle);
 //! * **compiled** — `verify_all_governed`: the slot-addressed dense
 //!   elimination with the global FM verdict memo and learned-core
-//!   short-circuits;
-//! * **memoized** — `verify_all_session`: compiled plus the per-kernel
-//!   obligation memo, then replayed through the warm session under a
-//!   zero-token budget (memo hits must charge nothing).
+//!   short-circuits.
 //!
 //! VC families per kernel mirror the bounded-checking differential
 //! (`compiled_differential.rs`): a trivial postcondition (provable), a
@@ -32,7 +29,7 @@ use stng_ir::lower::kernel_from_source;
 use stng_pred::lang::{Invariant, OutEq, Postcondition, QuantBound, QuantClause};
 use stng_pred::vcgen::{analyze_loop_nest, generate_vcs, Vc};
 use stng_pred::{fixtures, LoopNest};
-use stng_solve::{ProverSession, SmtLite, Verdict};
+use stng_solve::{SmtLite, Verdict};
 
 /// A postcondition `out[v⃗] = f(out[v⃗])` over the declared bounds of every
 /// output array (`shift` displaces the read index, `bump` adds 1 — both
@@ -90,8 +87,8 @@ fn test_prover() -> SmtLite {
     }
 }
 
-/// Three-way verdict agreement under an unlimited budget, plus the
-/// warm-memo replay property. Returns the agreed verdict.
+/// Verdict and attempt agreement under an unlimited budget. Returns the
+/// agreed verdict.
 fn assert_verdict_agreement(vcs: &[Vc], label: &str) -> Verdict {
     let prover = test_prover();
     let (legacy, legacy_attempts) = prover.verify_all_legacy(vcs, &Budget::unlimited());
@@ -104,37 +101,11 @@ fn assert_verdict_agreement(vcs: &[Vc], label: &str) -> Verdict {
         compiled_attempts, legacy_attempts,
         "{label}: attempt counts diverged (different search traces)"
     );
-    let session = ProverSession::new();
-    let (memoized, memo_attempts) = prover.verify_all_session(vcs, &Budget::unlimited(), &session);
-    assert_eq!(
-        memoized, legacy,
-        "{label}: memoized prover diverged from the tree-walking oracle"
-    );
-    assert!(
-        memo_attempts <= compiled_attempts,
-        "{label}: memoization must never add attempts"
-    );
-    // Replaying through the warm session must reproduce the verdict without
-    // charging a single prover-attempt token.
-    let zero = Budget::limited(None, Some(0), None);
-    let (warm, warm_attempts) = prover.verify_all_session(vcs, &zero, &session);
-    assert_eq!(
-        warm, legacy,
-        "{label}: warm-memo replay changed the verdict"
-    );
-    assert_eq!(
-        warm_attempts, 0,
-        "{label}: warm-memo replay must be attempt-free"
-    );
-    assert!(
-        zero.exhausted().is_none(),
-        "{label}: warm-memo replay charged the governed budget"
-    );
     legacy
 }
 
-/// Budget-interruption classification agreement: compiled (no memo) and
-/// legacy charge one token per proof attempt, so from equal counter-only
+/// Budget-interruption classification agreement: compiled and legacy
+/// charge one token per proof attempt, so from equal counter-only
 /// budgets they must produce identical verdicts, attempt counts, and
 /// exhaustion classification — whether or not the budget trips. Returns
 /// `true` when this budget level tripped.

@@ -108,7 +108,7 @@ fn counter_metrics_are_deterministic_single_threaded() {
     let mut stng = Stng::new();
     stng.config.parallelism = 1;
 
-    // The prover's obligation memo and learned cores live in process-global
+    // The prover's FM verdict memo and learned cores live in process-global
     // arenas; sweep to the same (empty) state before each run so both lifts
     // are equally cold.
     stng::memory::sweep();
@@ -123,7 +123,7 @@ fn counter_metrics_are_deterministic_single_threaded() {
 
     assert_eq!(first, second, "counter metrics drifted between equal runs");
     assert!(
-        first.contains("prover.oblig_misses"),
+        first.contains("bounded.screened"),
         "snapshot should carry the phase counters: {first}"
     );
 }

@@ -18,7 +18,7 @@ use stng_pred::eval::eval_pred;
 use stng_pred::lang::{Invariant, Postcondition};
 use stng_pred::vcgen::{analyze_loop_nest, generate_vcs};
 use stng_solve::bounded::CheckSession;
-use stng_solve::{BoundedChecker, ProverSession, SmtLite};
+use stng_solve::{BoundedChecker, SmtLite};
 use stng_sym::{choose_small_bounds, symbolic_execute};
 
 /// Why synthesis failed for a kernel.
@@ -116,16 +116,12 @@ pub struct PhaseTimings {
     /// this is exactly `grid_sizes × trials_per_size` however many
     /// candidates were screened — the invariant the bench gate pins.
     pub captures: usize,
-    /// Proof obligations answered from the kernel's prover-session memo
-    /// (case-split subtrees shared across sibling branches and candidates).
-    pub oblig_hits: u64,
-    /// Proof obligations the prover actually had to work on.
-    pub oblig_misses: u64,
     /// Feasibility queries short-circuited by a learned infeasibility core
-    /// during this kernel's proving phase. The core store is global, so
-    /// under cross-kernel parallelism this delta can include siblings' hits
-    /// — a profiling signal, not an invariant (and, like all timing fields,
-    /// excluded from canonical reports).
+    /// during this kernel's proving phase. The hit counter is per thread and
+    /// the prover runs on the CEGIS thread, so the count is this kernel's
+    /// own; whether a core exists to hit depends on what earlier lifts
+    /// learned, so it is a profiling signal excluded from canonical
+    /// reports.
     pub core_hits: u64,
     /// Candidates screened by the bounded checker (one per
     /// `find_counterexample` call on the session).
@@ -151,8 +147,6 @@ impl PhaseTimings {
             bounded_ns: set.get(ids.bounded_ns),
             prove_ns: set.get(ids.prove_ns),
             captures: set.get(ids.captures) as usize,
-            oblig_hits: set.get(ids.oblig_hits),
-            oblig_misses: set.get(ids.oblig_misses),
             core_hits: set.get(ids.core_hits),
             screened: set.get(ids.screened),
             survivors: set.get(ids.survivors),
@@ -168,8 +162,6 @@ impl PhaseTimings {
         self.bounded_ns += other.bounded_ns;
         self.prove_ns += other.prove_ns;
         self.captures += other.captures;
-        self.oblig_hits += other.oblig_hits;
-        self.oblig_misses += other.oblig_misses;
         self.core_hits += other.core_hits;
         self.screened += other.screened;
         self.survivors += other.survivors;
@@ -189,13 +181,6 @@ impl PhaseTimings {
     /// Proving time in milliseconds.
     pub fn prove_ms(&self) -> f64 {
         self.prove_ns as f64 / 1e6
-    }
-
-    /// Fraction of proof obligations answered from the session memo, or
-    /// `None` when the prover never ran.
-    pub fn oblig_hit_rate(&self) -> Option<f64> {
-        let total = self.oblig_hits + self.oblig_misses;
-        (total > 0).then(|| self.oblig_hits as f64 / total as f64)
     }
 }
 
@@ -348,12 +333,6 @@ pub fn synthesize_governed_with_phases(
                     kernel.clone(),
                     budget.clone(),
                 );
-                // One prover session for the whole candidate set: settled
-                // case-split subtrees are shared across candidates (most VCs
-                // — loop bounds, frame conditions — are identical from one
-                // candidate to the next), and memo hits charge neither
-                // attempts nor the governed budget.
-                let prover_session = ProverSession::new();
                 let core_hits_before = stng_solve::lin::core_hit_count();
                 let mut prove_ns = 0u64;
                 let mut panicked: Option<String> = None;
@@ -394,10 +373,7 @@ pub fn synthesize_governed_with_phases(
                         }
                         let proving = Instant::now();
                         let prove_span = span(&names::PROVE_SESSION);
-                        let (verdict, attempts) =
-                            config
-                                .prover
-                                .verify_all_session(&vcs, budget, &prover_session);
+                        let (verdict, attempts) = config.prover.verify_all_governed(&vcs, budget);
                         drop(prove_span);
                         prove_ns += proving.elapsed().as_nanos() as u64;
                         verdict.is_valid().then_some(attempts)
@@ -428,8 +404,6 @@ pub fn synthesize_governed_with_phases(
                 kernel_metrics.add(ids.survivors, session.survivors());
                 kernel_metrics.add(ids.batch_scans, session.batch_scans());
                 kernel_metrics.add(ids.prove_ns, prove_ns);
-                kernel_metrics.add(ids.oblig_hits, prover_session.hits());
-                kernel_metrics.add(ids.oblig_misses, prover_session.misses());
                 kernel_metrics.add(
                     ids.core_hits,
                     stng_solve::lin::core_hit_count().saturating_sub(core_hits_before),
@@ -705,15 +679,13 @@ end procedure
     }
 
     #[test]
-    fn memo_miss_charging_is_deterministic_across_runs() {
-        // PR 5 pinned counter-only budget determinism at the service layer;
-        // with obligation memoization the charged quantity is memo *misses*,
-        // which must be just as deterministic: the same kernel synthesized
-        // twice from fresh, equal attempt budgets (single-threaded) must
-        // agree on outcome, degradation, attempt count, and exhaustion —
-        // even though the second run sees warm global FM memos and learned
-        // cores (those accelerate queries; they must not change verdicts or
-        // charging).
+    fn attempt_charging_is_deterministic_across_runs() {
+        // Counter-only budgets must charge deterministically: the same
+        // kernel synthesized twice from fresh, equal attempt budgets
+        // (single-threaded) must agree on outcome, degradation, attempt
+        // count, and exhaustion — even though the second run sees warm
+        // global FM memos and learned cores (those accelerate queries; they
+        // must not change verdicts or charging).
         let kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).unwrap();
         let config = SynthesisConfig {
             parallelism: 1,
@@ -726,14 +698,13 @@ end procedure
         for attempts in [Some(2), None] {
             let run = || {
                 let budget = Budget::limited(None, attempts, None);
-                let (result, phase) = synthesize_governed_with_phases(&kernel, &config, &budget);
+                let (result, _) = synthesize_governed_with_phases(&kernel, &config, &budget);
                 let outcome = result.unwrap();
                 (
                     outcome.soundly_verified,
                     outcome.degraded,
                     outcome.prover_attempts,
                     budget.exhausted(),
-                    phase.oblig_misses,
                 )
             };
             let first = run();

@@ -27,7 +27,7 @@ use stng_pred::vcgen::{analyze_loop_nest, generate_vcs, Vc};
 use stng_pred::{fixtures, LoopNest};
 use stng_service::cache::PipelineCache;
 use stng_solve::bounded::{BoundedChecker, CheckSession};
-use stng_solve::{ProverSession, SmtLite, Verdict};
+use stng_solve::{SmtLite, Verdict};
 use stng_sym::exec::choose_small_bounds;
 
 /// How far an oracle sweeps.
@@ -243,8 +243,8 @@ impl DiffOracle for CompiledChecking {
     }
 }
 
-/// Legacy / compiled / memoized prover verdict agreement, plus warm-memo
-/// replay and budget-classification agreement on the running example.
+/// Legacy / compiled prover verdict and attempt agreement, plus
+/// budget-classification agreement on the running example.
 struct CompiledProving;
 
 impl DiffOracle for CompiledProving {
@@ -282,25 +282,6 @@ impl DiffOracle for CompiledProving {
                     check.fail(format!(
                         "{name}/{family}: compiled ({compiled:?}, {ca}) vs \
                          legacy ({legacy:?}, {la})"
-                    ));
-                    continue;
-                }
-                let session = ProverSession::new();
-                let (memoized, ma) =
-                    prover.verify_all_session(&vcs, &Budget::unlimited(), &session);
-                if memoized != legacy || ma > ca {
-                    check.fail(format!(
-                        "{name}/{family}: memoized ({memoized:?}, {ma}) vs legacy"
-                    ));
-                    continue;
-                }
-                let zero = Budget::limited(None, Some(0), None);
-                let (warm, wa) = prover.verify_all_session(&vcs, &zero, &session);
-                if warm != legacy || wa != 0 || zero.exhausted().is_some() {
-                    check.fail(format!(
-                        "{name}/{family}: warm replay ({warm:?}, {wa} attempts, \
-                         exhausted {:?})",
-                        zero.exhausted()
                     ));
                     continue;
                 }
