@@ -10,8 +10,8 @@
 //! ring closes spans in LIFO order on the thread that opened them.
 //! [`wellformedness`] reports any violation; the nesting tests assert zero.
 
+use crate::json::{nu, obj, s, Json};
 use crate::recorder::{Event, EventKind, ThreadTrace};
-use std::fmt::Write as _;
 
 /// Nesting audit of one thread's ring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,113 +70,77 @@ pub fn span_details(threads: &[ThreadTrace], name: &str) -> Vec<&'static str> {
         .collect()
 }
 
-fn escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn write_args(out: &mut String, detail: Option<&str>, arg: u64) {
-    out.push_str(",\"args\":{");
-    let mut first = true;
+/// The `args` object of a complete or instant event.
+fn args(detail: Option<&str>, arg: u64) -> Json {
+    let mut fields = Vec::new();
     if let Some(detail) = detail {
-        write!(out, "\"detail\":\"{}\"", escaped(detail)).expect("infallible");
-        first = false;
+        fields.push(("detail", s(detail)));
     }
     if arg != 0 {
-        if !first {
-            out.push(',');
-        }
-        write!(out, "\"arg\":{arg}").expect("infallible");
+        fields.push(("arg", Json::Num(arg as f64)));
     }
-    out.push('}');
+    obj(fields)
 }
 
 /// Renders thread traces as a Chrome trace-event JSON document. Spans left
 /// open by a mid-run snapshot are emitted as `"B"` begin events so the
 /// trace still loads; a quiescent export has none.
 pub fn trace_json(threads: &[ThreadTrace]) -> String {
-    let us = |ns: u64| ns as f64 / 1e3;
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut emit = |line: String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str("\n  ");
-        out.push_str(&line);
-    };
+    let us = |ns: u64| Json::Num(ns as f64 / 1e3);
+    let mut events = Vec::new();
     for thread in threads {
-        emit(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                thread.tid,
-                escaped(&thread.thread)
-            ),
-            &mut first,
-        );
+        let tid = Json::Num(thread.tid as f64);
+        events.push(obj(vec![
+            ("ph", s("M")),
+            ("pid", nu(1)),
+            ("tid", tid.clone()),
+            ("name", s("thread_name")),
+            ("args", obj(vec![("name", s(thread.thread.as_str()))])),
+        ]));
         // Match open/close pairs into "X" complete events. The completes
         // are emitted at close time; Perfetto sorts by ts, so order in the
         // array does not matter.
         let mut stack: Vec<&Event> = Vec::new();
         for event in &thread.events {
+            let detail = event.detail.map(|d| d.as_str());
             match event.kind {
                 EventKind::Open => stack.push(event),
                 EventKind::Close => {
                     let Some(open) = stack.pop().filter(|o| o.name == event.name) else {
                         continue; // audited separately by `wellformedness`
                     };
-                    let mut line = format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-                         \"name\":\"{}\"",
-                        thread.tid,
-                        us(open.ts_ns),
-                        us(event.ts_ns.saturating_sub(open.ts_ns)),
-                        escaped(event.name.as_str())
-                    );
-                    write_args(&mut line, event.detail.map(|d| d.as_str()), event.arg);
-                    line.push('}');
-                    emit(line, &mut first);
+                    events.push(obj(vec![
+                        ("ph", s("X")),
+                        ("pid", nu(1)),
+                        ("tid", tid.clone()),
+                        ("ts", us(open.ts_ns)),
+                        ("dur", us(event.ts_ns.saturating_sub(open.ts_ns))),
+                        ("name", s(event.name.as_str())),
+                        ("args", args(detail, event.arg)),
+                    ]));
                 }
-                EventKind::Instant => {
-                    let mut line = format!(
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"s\":\"t\",\
-                         \"name\":\"{}\"",
-                        thread.tid,
-                        us(event.ts_ns),
-                        escaped(event.name.as_str())
-                    );
-                    write_args(&mut line, event.detail.map(|d| d.as_str()), event.arg);
-                    line.push('}');
-                    emit(line, &mut first);
-                }
+                EventKind::Instant => events.push(obj(vec![
+                    ("ph", s("i")),
+                    ("pid", nu(1)),
+                    ("tid", tid.clone()),
+                    ("ts", us(event.ts_ns)),
+                    ("s", s("t")),
+                    ("name", s(event.name.as_str())),
+                    ("args", args(detail, event.arg)),
+                ])),
             }
         }
         for open in stack {
-            emit(
-                format!(
-                    "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":\"{}\"}}",
-                    thread.tid,
-                    us(open.ts_ns),
-                    escaped(open.name.as_str())
-                ),
-                &mut first,
-            );
+            events.push(obj(vec![
+                ("ph", s("B")),
+                ("pid", nu(1)),
+                ("tid", tid.clone()),
+                ("ts", us(open.ts_ns)),
+                ("name", s(open.name.as_str())),
+            ]));
         }
     }
-    out.push_str("\n]}\n");
-    out
+    obj(vec![("traceEvents", Json::Arr(events))]).to_string()
 }
 
 #[cfg(test)]
@@ -204,6 +168,19 @@ mod tests {
         }
     }
 
+    /// The `traceEvents` array of an exported trace, parsed back.
+    fn exported(threads: &[ThreadTrace]) -> Vec<Json> {
+        let doc = Json::parse(&trace_json(threads)).expect("trace is valid JSON");
+        doc.get("traceEvents").unwrap().as_arr().unwrap().to_vec()
+    }
+
+    fn phases(events: &[Json]) -> Vec<&str> {
+        events
+            .iter()
+            .map(|e| e.get("ph").unwrap().as_str().unwrap())
+            .collect()
+    }
+
     #[test]
     fn matched_spans_export_as_complete_events() {
         let t = trace(vec![
@@ -214,13 +191,14 @@ mod tests {
             ev("outer", EventKind::Close, 4_000),
         ]);
         assert!(wellformedness(&t).is_clean());
-        let json = trace_json(&[t]);
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"inner\""));
-        assert!(json.contains("\"dur\":1.000"));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"thread_name\""));
-        assert!(!json.contains("\"ph\":\"B\""));
+        let events = exported(&[t]);
+        assert_eq!(phases(&events), vec!["M", "X", "i", "X"]);
+        assert_eq!(events[0].get("name").unwrap().as_str(), Some("thread_name"));
+        let inner = &events[1];
+        assert_eq!(inner.get("name").unwrap().as_str(), Some("inner"));
+        assert_eq!(inner.get("ts").unwrap().as_f64(), Some(2.0));
+        assert_eq!(inner.get("dur").unwrap().as_f64(), Some(1.0));
+        assert_eq!(events[3].get("dur").unwrap().as_f64(), Some(3.0));
     }
 
     #[test]
@@ -234,7 +212,20 @@ mod tests {
         assert_eq!(audit.unmatched_opens, 0);
         let open_only = trace(vec![ev("a", EventKind::Open, 1_000)]);
         assert_eq!(wellformedness(&open_only).unmatched_opens, 1);
-        assert!(trace_json(&[open_only]).contains("\"ph\":\"B\""));
+        assert_eq!(phases(&exported(&[open_only])), vec!["M", "B"]);
+    }
+
+    #[test]
+    fn details_and_args_round_trip_through_the_parser() {
+        let mut close = ev("cache.lookup", EventKind::Close, 2_500);
+        close.detail = Some(Symbol::intern("say \"hit\"\n"));
+        close.arg = 7;
+        let t = trace(vec![ev("cache.lookup", EventKind::Open, 1_000), close]);
+        let events = exported(&[t]);
+        let args = events[1].get("args").unwrap();
+        assert_eq!(args.get("detail").unwrap().as_str(), Some("say \"hit\"\n"));
+        assert_eq!(args.get("arg").unwrap().as_u64(), Some(7));
+        assert_eq!(events[1].get("dur").unwrap().as_f64(), Some(1.5));
     }
 
     #[test]

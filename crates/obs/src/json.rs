@@ -1,7 +1,11 @@
-//! A minimal JSON value model, printer, and recursive-descent parser.
+//! A minimal JSON value model, printer, and recursive-descent parser — the
+//! one JSON implementation of the workspace.
 //!
-//! The build environment has no crates.io access, so the persistent cache
-//! tier serializes by hand. The model is deliberately small: objects keep
+//! The build environment has no crates.io access, so every document the
+//! workspace writes or reads goes through this module: the persistent cache
+//! tier, the batch reports, the Chrome trace, the metrics snapshots, the
+//! `stng-verify` report and the `BENCH_N.json` snapshots. There is one
+//! printer, and it is compact. The model is deliberately small: objects keep
 //! insertion order (stable files, stable diffs), numbers are `f64` (every
 //! integer the codec stores fits in the 2⁵³ exact range; the 128-bit
 //! fingerprint travels as a hex string), and the printer emits the shortest

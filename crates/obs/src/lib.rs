@@ -1,7 +1,7 @@
 //! `stng-obs`: the observability substrate of the lifting pipeline —
 //! hierarchical spans, a metrics registry, and trace/metrics exporters.
 //!
-//! Three pieces, layered so the hot path stays cheap:
+//! Four pieces, layered so the hot path stays cheap:
 //!
 //! * [`recorder`] — an always-compiled, **default-off** span recorder.
 //!   Every worker thread records into its own lock-free append-only ring
@@ -13,9 +13,13 @@
 //!   increment after that is a plain atomic add on a dense cell. The
 //!   per-kernel [`metrics::MetricSet`] is the aggregation unit `PhaseTimings`
 //!   is derived from; flushing it feeds the process-wide totals.
-//! * [`chrome`] — exporters: Chrome trace-event JSON (loadable in Perfetto /
-//!   `chrome://tracing`, one track per recorded thread) and a machine-
-//!   readable metrics snapshot.
+//! * [`chrome`] — the Chrome trace-event exporter (loadable in Perfetto /
+//!   `chrome://tracing`, one track per recorded thread); the metrics
+//!   snapshots live in [`metrics`].
+//! * [`json`] — the workspace's one JSON value model, compact printer and
+//!   parser. Every document the workspace writes or reads is built on it:
+//!   the exporters here, the cache and batch reports, the `stng-verify`
+//!   report and the `BENCH_N.json` snapshots.
 //!
 //! Span names are interned [`Symbol`]s. Symbols are **never swept** by the
 //! epoch eviction in `stng-intern` (see `stng::memory`), so events captured
@@ -31,6 +35,7 @@
 //! `stng::memory::sweep` already imposes.
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 

@@ -25,8 +25,8 @@
 //! [`MetricSet::flush`] folds it into the process-wide cells that
 //! `stng-batch --metrics-json` exports.
 
+use crate::json::{obj, Json};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use stng_intern::Symbol;
@@ -340,7 +340,8 @@ pub fn reset() {
     }
 }
 
-fn write_scalar_section(out: &mut String, kind: MetricKind, reg: &Registry) {
+/// One kind's scalar cells as a JSON object, sorted by name.
+fn scalar_section(kind: MetricKind, reg: &Registry) -> Json {
     let mut rows: Vec<(&str, u64)> = reg
         .scalars
         .iter()
@@ -348,23 +349,17 @@ fn write_scalar_section(out: &mut String, kind: MetricKind, reg: &Registry) {
         .map(|(name, _, cell)| (*name, cell.load(Ordering::Relaxed)))
         .collect();
     rows.sort_by_key(|(name, _)| *name);
-    out.push('{');
-    for (k, (name, v)) in rows.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        write!(out, "\n    \"{name}\": {v}").expect("writing to a String cannot fail");
-    }
-    out.push_str(if rows.is_empty() { "}" } else { "\n  }" });
+    obj(rows
+        .into_iter()
+        .map(|(name, v)| (name, Json::Num(v as f64)))
+        .collect())
 }
 
 /// Renders only the deterministic counters, sorted by name — the byte
 /// string the determinism test compares across runs.
 pub fn counters_snapshot() -> String {
     let reg = registry().lock().expect("metric registry poisoned");
-    let mut out = String::new();
-    write_scalar_section(&mut out, MetricKind::Counter, &reg);
-    out
+    scalar_section(MetricKind::Counter, &reg).to_string()
 }
 
 /// Renders the whole registry as JSON (`stng-batch --metrics-json`):
@@ -372,48 +367,39 @@ pub fn counters_snapshot() -> String {
 /// name.
 pub fn snapshot_json() -> String {
     let reg = registry().lock().expect("metric registry poisoned");
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"counters\": ");
-    write_scalar_section(&mut out, MetricKind::Counter, &reg);
-    out.push_str(",\n  \"time_ns\": ");
-    write_scalar_section(&mut out, MetricKind::TimeNs, &reg);
-    out.push_str(",\n  \"gauges\": ");
-    write_scalar_section(&mut out, MetricKind::Gauge, &reg);
-    out.push_str(",\n  \"histograms\": {");
     let mut hists: Vec<(&str, &HistogramCells)> = reg
         .histograms
         .iter()
         .map(|(name, cells)| (*name, *cells))
         .collect();
     hists.sort_by_key(|(name, _)| *name);
-    for (k, (name, cells)) in hists.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        let top = cells
-            .buckets
-            .iter()
-            .rposition(|b| b.load(Ordering::Relaxed) > 0)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        let buckets: Vec<String> = cells.buckets[..top]
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed).to_string())
-            .collect();
-        write!(
-            out,
-            "\n    \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
-            cells.count.load(Ordering::Relaxed),
-            cells.sum.load(Ordering::Relaxed),
-            buckets.join(", ")
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out.push_str(if reg.histograms.is_empty() {
-        "}\n}\n"
-    } else {
-        "\n  }\n}\n"
-    });
-    out
+    let load = |cell: &AtomicU64| Json::Num(cell.load(Ordering::Relaxed) as f64);
+    let histograms = hists
+        .into_iter()
+        .map(|(name, cells)| {
+            let top = cells
+                .buckets
+                .iter()
+                .rposition(|b| b.load(Ordering::Relaxed) > 0)
+                .map(|p| p + 1)
+                .unwrap_or(0);
+            let buckets = cells.buckets[..top].iter().map(load).collect();
+            let hist = obj(vec![
+                ("count", load(&cells.count)),
+                ("sum", load(&cells.sum)),
+                ("buckets", Json::Arr(buckets)),
+            ]);
+            (name, hist)
+        })
+        .collect();
+    obj(vec![
+        ("schema", Json::Num(1.0)),
+        ("counters", scalar_section(MetricKind::Counter, &reg)),
+        ("time_ns", scalar_section(MetricKind::TimeNs, &reg)),
+        ("gauges", scalar_section(MetricKind::Gauge, &reg)),
+        ("histograms", obj(histograms)),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
@@ -465,8 +451,22 @@ mod tests {
         h.record(1000); // bucket 10
         let (count, sum) = h.totals();
         assert!(count >= 3 && sum >= 1001);
-        let json = snapshot_json();
-        assert!(json.contains("\"test.hist\""));
+        let json = Json::parse(&snapshot_json()).expect("snapshot is valid JSON");
+        let hist = json.get("histograms").unwrap().get("test.hist").unwrap();
+        assert_eq!(hist.get("count").unwrap().as_u64(), Some(count));
+        let buckets = hist.get("buckets").unwrap().as_arr().unwrap();
+        assert_eq!(buckets.len(), 11, "highest bucket in use is 10");
+        assert!(buckets[10].as_u64().unwrap() >= 1);
+    }
+
+    #[test]
+    fn counters_snapshot_parses_to_the_counter_cells() {
+        let _gate = lock();
+        let h = register("test.metric.snapshot", MetricKind::Counter);
+        h.add(5);
+        let snapshot = Json::parse(&counters_snapshot()).expect("snapshot is valid JSON");
+        let value = snapshot.get("test.metric.snapshot").unwrap().as_u64();
+        assert_eq!(value, Some(h.get()));
     }
 
     #[test]
@@ -476,6 +476,8 @@ mod tests {
         let h = register_dynamic(&name, MetricKind::Gauge);
         h.set(42);
         assert_eq!(h.get(), 42);
-        assert!(snapshot_json().contains("\"test.dyn.arena\": 42"));
+        let json = Json::parse(&snapshot_json()).expect("snapshot is valid JSON");
+        let gauge = json.get("gauges").unwrap().get("test.dyn.arena").unwrap();
+        assert_eq!(gauge.as_u64(), Some(42));
     }
 }

@@ -10,10 +10,9 @@
 //! Semantics are the tree-walking evaluator's, reproduced exactly —
 //! including the order hypotheses are screened in, evaluation (and therefore
 //! error) order inside clauses, short-circuit conjunction, and
-//! vacuous-on-hypothesis-error. The differential property test in
-//! `stng-solve` (`tests/compiled_differential.rs`) pins
-//! compiled-vs-interpreted agreement down over the whole corpus, error cases
-//! included. Constructs the bytecode cannot reproduce exactly fail to
+//! vacuous-on-hypothesis-error. The `diff.compiled-checking` oracle of
+//! `stng-verify` Layer 2 pins compiled-vs-interpreted agreement down over
+//! the whole corpus, error cases included. Constructs the bytecode cannot reproduce exactly fail to
 //! compile with [`CompileErr`], and callers fall back to the interpreter.
 //!
 //! Quantified variables never touch the state: each clause's bound variables

@@ -10,7 +10,6 @@
 //! before/after each sweep.
 
 use crate::cache::{CacheStats, PipelineCache};
-use crate::json::{nu, obj, s, Json};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,6 +17,7 @@ use stng::memory;
 use stng::pipeline::{KernelOutcome, KernelReport, LiftReport, Stng};
 use stng_intern::guard::Budget;
 use stng_intern::parallel;
+use stng_obs::json::{nu, obj, s, Json};
 use stng_synth::cegis::SynthesisConfig;
 
 /// One named source file (or corpus entry) to lift.

@@ -366,7 +366,7 @@ fn write_trace(path: &std::path::Path, report: &stng_service::BatchReport) -> Re
 
     let reread =
         std::fs::read_to_string(path).map_err(|e| format!("rereading {}: {e}", path.display()))?;
-    stng_service::json::Json::parse(&reread)
+    stng_obs::json::Json::parse(&reread)
         .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
 
     let lifted: Vec<&'static str> = stng::obs::chrome::span_details(&threads, "lift.kernel");

@@ -31,7 +31,6 @@
 //! open. See `docs/robustness.md`.
 
 use crate::codec::{decode_entry, encode_entry, CachedLift};
-use crate::json::Json;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +41,7 @@ use stng::translate::StencilSummary;
 use stng_intern::guard::fault;
 use stng_ir::canon::{self, Canon};
 use stng_ir::ir::Kernel;
+use stng_obs::json::Json;
 use stng_pred::lang::{Postcondition, QuantClause};
 use stng_synth::cegis::SynthesisConfig;
 

@@ -36,9 +36,10 @@ pub mod cache;
 #[cfg(feature = "fault-inject")]
 pub mod chaos;
 pub mod codec;
-pub mod json;
 
 pub use batch::{run_batch, BatchOptions, BatchReport, BatchSource};
 pub use cache::{config_digest, CacheKey, CacheStats, LiftResultCache, PipelineCache};
 pub use codec::CachedLift;
 pub use stng_ir::canon;
+/// The JSON model lives in `stng-obs`; this path is kept for the benchmark.
+pub use stng_obs::json;

@@ -3,6 +3,7 @@
 //! host) and single-threaded execution must produce byte-identical
 //! canonical batch reports, including which kernels degraded where.
 
+use stng_obs::json::Json;
 use stng_service::batch::{self, BatchOptions};
 
 fn governed_options() -> BatchOptions {
@@ -48,5 +49,41 @@ fn governed_batches_are_byte_identical_across_runs() {
         first.contains("\"degraded\":\"prover-attempts\"")
             || first.contains("\"outcome\":\"timeout\""),
         "budgets never tripped — tighten them so the test is meaningful: {first}"
+    );
+}
+
+/// `--json` and the canonical encoding are `stng_obs::json` documents that
+/// parse back with their per-kernel facts.
+#[test]
+fn batch_report_json_parses_back_with_its_outcomes() {
+    let sources: Vec<_> = batch::corpus_sources()
+        .into_iter()
+        .filter(|s| s.name == "simple0")
+        .collect();
+    let options = BatchOptions {
+        passes: 2,
+        ..BatchOptions::default()
+    };
+    let report = batch::run_batch(&sources, &options).expect("memory-only");
+    let doc = Json::parse(&report.to_json().to_string()).expect("report is valid JSON");
+    let passes = doc.get("passes").and_then(Json::as_arr).expect("passes");
+    assert_eq!(passes.len(), 2);
+    let warm = &passes[1]
+        .get("kernels")
+        .and_then(Json::as_arr)
+        .expect("kernels")[0];
+    assert_eq!(warm.get("source").and_then(Json::as_str), Some("simple0"));
+    assert_eq!(warm.get("cached"), Some(&Json::Bool(true)));
+    assert!(warm.get("lift_ms").and_then(Json::as_f64).is_some());
+    let canonical = Json::parse(&report.to_canonical_json().to_string()).expect("valid JSON");
+    let cold = &canonical
+        .get("passes")
+        .and_then(Json::as_arr)
+        .expect("passes")[0];
+    let row = &cold.get("kernels").and_then(Json::as_arr).expect("kernels")[0];
+    assert_eq!(row.get("cached"), Some(&Json::Bool(false)));
+    assert!(
+        row.get("lift_ms").is_none(),
+        "canonical form carries no timing"
     );
 }

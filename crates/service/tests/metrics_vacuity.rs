@@ -9,6 +9,7 @@
 //! proving, eviction, disk writes and disk hits all run. It lives in its
 //! own test binary so no other test's counters leak into the snapshot.
 
+use stng_obs::json::Json;
 use stng_service::batch::{self, BatchOptions};
 
 /// Counters this workload cannot move, each with the test that does.
@@ -24,13 +25,15 @@ const ALLOWLIST: &[(&str, &str)] = &[
     ),
 ];
 
-/// Parses the `"name": value` rows of `counters_snapshot()`.
+/// The `(name, value)` rows of `counters_snapshot()`.
 fn counters(snapshot: &str) -> Vec<(String, u64)> {
-    snapshot
-        .lines()
-        .filter_map(|line| {
-            let (name, value) = line.trim().trim_end_matches(',').split_once(": ")?;
-            Some((name.trim_matches('"').to_string(), value.parse().ok()?))
+    let Ok(Json::Obj(rows)) = Json::parse(snapshot) else {
+        panic!("counters_snapshot() is not a JSON object: {snapshot}");
+    };
+    rows.into_iter()
+        .map(|(name, value)| {
+            let value = value.as_u64().unwrap_or_else(|| panic!("{name}: {value}"));
+            (name, value)
         })
         .collect()
 }

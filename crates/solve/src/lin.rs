@@ -853,8 +853,8 @@ mod tests {
     }
 
     /// Every query a compiled context can answer, a legacy context answers
-    /// identically (unit-sized differential; the corpus-wide version lives
-    /// in `tests/prover_differential.rs`).
+    /// identically (unit-sized differential; the corpus-wide version is
+    /// `stng-verify`'s `diff.compiled-proving` oracle).
     #[test]
     fn legacy_and_compiled_contexts_agree() {
         let build = |mut ctx: LinCtx| {

@@ -11,7 +11,7 @@
 //! lowest slot" and the compiled engine reproduces the tree engine's
 //! elimination order — and therefore its verdict, constraint cap included —
 //! exactly. The tree engine stays available as the differential oracle
-//! (`tests/prover_differential.rs` pins agreement corpus-wide).
+//! (`stng-verify`'s `diff.compiled-proving` pins agreement corpus-wide).
 //!
 //! Rows additionally carry a provenance bitmask over the input constraints.
 //! When elimination derives a contradiction, the mask names the input subset

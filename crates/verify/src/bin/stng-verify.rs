@@ -67,7 +67,7 @@ fn main() -> ExitCode {
     let report = stng_verify::run(&opts);
     let elapsed = start.elapsed();
 
-    let json = report.to_json();
+    let json = report.to_json() + "\n";
     if let Some(path) = out_path {
         if let Err(e) = std::fs::write(&path, &json) {
             eprintln!("stng-verify: cannot write {path}: {e}");

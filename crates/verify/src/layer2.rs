@@ -1,13 +1,16 @@
 //! Layer 2 — the unified differential-oracle registry.
 //!
 //! Every subsystem with a fast/slow pair is registered here as a
-//! [`DiffOracle`] the harness drives: the three oracles that previously
-//! lived only as scattered release-mode tests (compiled checking, compiled
-//! proving, the batched screen), plus two new members — canon/fingerprint
-//! and disk-cache rehydration. The release tests remain the tier-1 /
-//! CI-release depth; the registry re-drives the same properties with
-//! counted (rather than panicking) verdicts so one `stng-verify` run
-//! reports every divergence across every oracle.
+//! [`DiffOracle`] the harness drives, and this is the only place such a
+//! pair is tested: compiled checking, compiled proving, the batched screen,
+//! canon/fingerprint and disk-cache rehydration. Each oracle sweeps every
+//! corpus kernel that lowers and analyzes, plus its special cases (the
+//! running example with its real invariants, a stride-2 kernel, a capture
+//! error), and counts divergences instead of panicking so one `stng-verify`
+//! run reports every divergence across every oracle. Each oracle also
+//! fails on its own non-vacuity floors, so a sweep that silently stops
+//! exercising an outcome class is a failure too. The unit tests below run
+//! the registry under `cargo test`.
 //!
 //! Adding a new differential pair = implementing [`DiffOracle`] and
 //! appending it to [`registry`]; see `docs/verification.md`.
@@ -19,30 +22,21 @@ use stng::{KernelOutcome, LiftCache, Stng};
 use stng_intern::guard::Budget;
 use stng_ir::canon::{canonicalize, rename_kernel};
 use stng_ir::interp::{run_kernel, ArrayData, State};
-use stng_ir::ir::{CmpOp, IrExpr, IrStmt, Kernel};
+use stng_ir::ir::{CmpOp, IrExpr, IrStmt, IterDomain, Kernel, Param, ParamKind};
 use stng_ir::lower::kernel_from_source;
 use stng_ir::value::{ModInt, MOD_FIELD};
 use stng_pred::lang::{Invariant, OutEq, Postcondition, QuantBound, QuantClause};
-use stng_pred::vcgen::{analyze_loop_nest, generate_vcs, Vc};
-use stng_pred::{fixtures, LoopNest};
+use stng_pred::vcgen::{analyze_loop_nest, generate_vcs, Vc, VcScope};
+use stng_pred::{fixtures, LoopNest, Pred};
 use stng_service::cache::PipelineCache;
 use stng_solve::bounded::{BoundedChecker, CheckSession};
 use stng_solve::{SmtLite, Verdict};
 use stng_sym::exec::choose_small_bounds;
 
-/// How far an oracle sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// PR gate: a bounded prefix of the corpus plus the special cases.
-    Quick,
-    /// Nightly/chaos: the whole corpus.
-    Deep,
-}
-
 /// One registered fast/slow differential pair.
 pub trait DiffOracle {
     fn name(&self) -> &'static str;
-    fn run(&self, tier: Tier) -> CheckReport;
+    fn run(&self) -> CheckReport;
 }
 
 /// Every registered oracle, in run order.
@@ -56,8 +50,8 @@ pub fn registry() -> Vec<Box<dyn DiffOracle>> {
     ]
 }
 
-/// Corpus kernels that lower and analyze, bounded by tier.
-fn analyzable_corpus(tier: Tier) -> Vec<(String, Kernel, LoopNest)> {
+/// Every corpus kernel that lowers and analyzes.
+fn analyzable_corpus() -> Vec<(String, Kernel, LoopNest)> {
     let mut out = Vec::new();
     for corpus_kernel in stng_corpus::all_kernels() {
         let Ok(kernel) = kernel_from_source(&corpus_kernel.source, 0) else {
@@ -67,16 +61,20 @@ fn analyzable_corpus(tier: Tier) -> Vec<(String, Kernel, LoopNest)> {
             continue;
         };
         out.push((corpus_kernel.name.clone(), kernel, nest));
-        if tier == Tier::Quick && out.len() >= 10 {
-            break;
-        }
     }
     out
 }
 
+/// Fails `check` unless `value` reaches `floor` — the non-vacuity guard
+/// that keeps a sweep from passing by exercising nothing.
+fn floor(check: &mut CheckReport, what: &str, value: u64, floor: u64) {
+    if value < floor {
+        check.fail(format!("sweep vacuous: {what} = {value} < {floor}"));
+    }
+}
+
 /// The shared synthetic postcondition family (`out[v⃗] = f(out[v⃗])` with an
-/// index shift to force evaluation errors and a bump to force violations) —
-/// the same family the release differential tests use.
+/// index shift to force evaluation errors and a bump to force violations).
 fn synthetic_post(kernel: &Kernel, shift: i64, bump: bool) -> Postcondition {
     let mut clauses = Vec::new();
     for array in kernel.output_arrays() {
@@ -132,113 +130,184 @@ fn test_checker() -> BoundedChecker {
 /// Four VC families per kernel: trivial / wrong / erroring / unbound-hyp.
 fn vc_families(kernel: &Kernel, nest: &LoopNest) -> Vec<(&'static str, Vec<Vc>)> {
     let invariants = empty_invariants(nest);
-    let mut families = vec![
-        (
-            "trivial",
-            generate_vcs(
-                nest,
-                &kernel.assumptions,
-                &invariants,
-                &synthetic_post(kernel, 0, false),
-            ),
-        ),
-        (
-            "wrong",
-            generate_vcs(
-                nest,
-                &kernel.assumptions,
-                &invariants,
-                &synthetic_post(kernel, 0, true),
-            ),
-        ),
-        (
-            "erroring",
-            generate_vcs(
-                nest,
-                &kernel.assumptions,
-                &invariants,
-                &synthetic_post(kernel, 900, false),
-            ),
-        ),
-    ];
-    let mut unbound = generate_vcs(
-        nest,
-        &kernel.assumptions,
-        &invariants,
-        &synthetic_post(kernel, 0, false),
-    );
+    let vcs = |post| generate_vcs(nest, &kernel.assumptions, &invariants, &post);
+    let mut unbound = vcs(synthetic_post(kernel, 0, false));
     for vc in &mut unbound {
-        vc.hypotheses.push(stng_pred::Pred::Bool(IrExpr::cmp(
+        vc.hypotheses.push(Pred::Bool(IrExpr::cmp(
             CmpOp::Le,
             IrExpr::var("never_bound_registry_var"),
             IrExpr::Int(0),
         )));
     }
-    families.push(("unbound-hyp", unbound));
-    families
+    vec![
+        ("trivial", vcs(synthetic_post(kernel, 0, false))),
+        ("wrong", vcs(synthetic_post(kernel, 0, true))),
+        ("erroring", vcs(synthetic_post(kernel, 900, false))),
+        ("unbound-hyp", unbound),
+    ]
+}
+
+/// The running example with its hand-written invariants: DataEq scalar
+/// facts, coverage splits and the deepest real case-split proof.
+fn running_example_vcs() -> (Kernel, Vec<Vc>) {
+    let kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).expect("fixture lowers");
+    let nest = analyze_loop_nest(&kernel).expect("fixture analyzes");
+    let vcs = generate_vcs(
+        &nest,
+        &kernel.assumptions,
+        &fixtures::running_example_invariants(),
+        &fixtures::running_example_post(),
+    );
+    (kernel, vcs)
+}
+
+const STRIDED_SOURCE: &str = r#"
+procedure p(n, a, b)
+  real, dimension(0:n) :: a
+  real, dimension(0:n) :: b
+  integer :: i
+  do i = 1, n-1, 2
+    a(i) = b(i-1) + b(i+1)
+  enddo
+end procedure
+"#;
+
+/// A stride-2 kernel with its strided postcondition: `Pred::Stride`
+/// hypotheses (`i = lo + step·k` witnesses) and a strided quantifier
+/// domain. Fails `check` if the stride facts go missing.
+fn strided_vcs(check: &mut CheckReport) -> (Kernel, Vec<Vc>) {
+    let kernel = kernel_from_source(STRIDED_SOURCE, 0).expect("strided kernel lowers");
+    let nest = analyze_loop_nest(&kernel).expect("strided kernel analyzes");
+    let b_at = |offset: i64| IrExpr::Load {
+        array: "b".into(),
+        indices: vec![IrExpr::add(IrExpr::var("v0"), IrExpr::Int(offset))],
+    };
+    let post = Postcondition {
+        clauses: vec![QuantClause {
+            bounds: vec![QuantBound::strided(
+                "v0",
+                IrExpr::Int(1),
+                IrExpr::sub(IrExpr::var("n"), IrExpr::Int(1)),
+                2,
+            )],
+            eq: OutEq {
+                array: "a".into(),
+                indices: vec![IrExpr::var("v0")],
+                rhs: IrExpr::add(b_at(-1), b_at(1)),
+            },
+        }],
+    };
+    let vcs = generate_vcs(&nest, &kernel.assumptions, &empty_invariants(&nest), &post);
+    let stride_facts = vcs.iter().any(|vc| {
+        vc.hypotheses
+            .iter()
+            .any(|h| matches!(h, Pred::Stride { .. }))
+    });
+    if !stride_facts {
+        check.fail("strided nest emitted no stride hypotheses".to_string());
+    }
+    (kernel, vcs)
 }
 
 /// Compiled VC checking vs the tree interpreter on every captured state.
 struct CompiledChecking;
+
+impl CompiledChecking {
+    /// Checks `vcs` through both engines on every state `session` captured;
+    /// tallies `[vacuous, holds, violated, errors]` and returns the number
+    /// of checks run.
+    fn agree(
+        check: &mut CheckReport,
+        session: &CheckSession,
+        vcs: &[Vc],
+        label: &str,
+        outcomes: &mut [u64; 4],
+    ) -> u64 {
+        use stng_pred::compile::CompiledVcSet;
+        use stng_pred::eval::check_vc_on_state;
+        let compiled = match CompiledVcSet::compile(vcs, session.map()) {
+            Ok(c) => c,
+            Err(e) => {
+                check.fail(format!("{label}: VCs must stay compilable: {e}"));
+                return 0;
+            }
+        };
+        let mut sc = compiled.scratch::<ModInt>();
+        let mut checks = 0u64;
+        for unit in session.captured_units() {
+            let Ok(unit) = unit.as_ref() else {
+                check.fail(format!("{label}: capture failed"));
+                return checks;
+            };
+            for (origin, state) in &unit.states {
+                let oracle_state = state.to_state();
+                for (k, vc) in vcs.iter().enumerate() {
+                    checks += 1;
+                    let slow = check_vc_on_state(vc, &oracle_state);
+                    let fast = compiled.check(k, state, &mut sc);
+                    match (slow, fast) {
+                        (Ok(a), Ok(b)) if a == b => outcomes[a as usize] += 1,
+                        (Err(_), Err(_)) => outcomes[3] += 1,
+                        (a, b) => check.fail(format!(
+                            "{label}: VC '{}' at {origin}: tree {a:?} vs compiled {b:?}",
+                            vc.name
+                        )),
+                    }
+                }
+            }
+        }
+        check.cases += checks;
+        checks
+    }
+}
 
 impl DiffOracle for CompiledChecking {
     fn name(&self) -> &'static str {
         "diff.compiled-checking"
     }
 
-    fn run(&self, tier: Tier) -> CheckReport {
-        use stng_pred::compile::CompiledVcSet;
-        use stng_pred::eval::check_vc_on_state;
+    fn run(&self) -> CheckReport {
         let mut check = CheckReport::new(self.name());
         let mut kernels = 0u64;
         let mut outcomes = [0u64; 4];
-        for (name, kernel, nest) in analyzable_corpus(tier) {
+        for (name, kernel, nest) in analyzable_corpus() {
             let session = CheckSession::new(test_checker(), kernel.clone());
             if session.captured_units().iter().any(|u| u.is_err()) {
                 continue;
             }
             kernels += 1;
             for (family, vcs) in vc_families(&kernel, &nest) {
-                let compiled = match CompiledVcSet::compile(&vcs, session.map()) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        check.fail(format!("{name}/{family}: VCs must stay compilable: {e}"));
-                        continue;
-                    }
-                };
-                let mut sc = compiled.scratch::<ModInt>();
-                for unit in session.captured_units() {
-                    let unit = unit.as_ref().expect("checked above");
-                    for (origin, state) in &unit.states {
-                        let oracle_state = state.to_state();
-                        for (k, vc) in vcs.iter().enumerate() {
-                            check.cases += 1;
-                            let slow = check_vc_on_state(vc, &oracle_state);
-                            let fast = compiled.check(k, state, &mut sc);
-                            match (slow, fast) {
-                                (Ok(a), Ok(b)) if a == b => {
-                                    outcomes[a as usize] += 1;
-                                }
-                                (Err(_), Err(_)) => outcomes[3] += 1,
-                                (a, b) => check.fail(format!(
-                                    "{name}/{family}: VC '{}' at {origin}: \
-                                     tree {a:?} vs compiled {b:?}",
-                                    vc.name
-                                )),
-                            }
-                        }
-                    }
-                }
+                Self::agree(
+                    &mut check,
+                    &session,
+                    &vcs,
+                    &format!("{name}/{family}"),
+                    &mut outcomes,
+                );
             }
         }
+        let corpus_checks = check.cases;
+        let (kernel, vcs) = running_example_vcs();
+        let session = CheckSession::new(test_checker(), kernel);
+        let real = Self::agree(&mut check, &session, &vcs, "running-example", &mut outcomes);
+        let (kernel, vcs) = strided_vcs(&mut check);
+        let session = CheckSession::new(test_checker(), kernel);
+        let strided = Self::agree(&mut check, &session, &vcs, "strided", &mut outcomes);
         check.count("kernels", kernels);
         check.count("vacuous", outcomes[0]);
         check.count("holds", outcomes[1]);
         check.count("violated", outcomes[2]);
         check.count("errors", outcomes[3]);
-        if kernels == 0 {
-            check.fail("no corpus kernel participated".to_string());
+        floor(&mut check, "kernels", kernels, 20);
+        floor(&mut check, "corpus checks", corpus_checks, 10_001);
+        for (class, n) in ["vacuous", "holds", "violated", "errors"]
+            .iter()
+            .zip(outcomes)
+        {
+            floor(&mut check, class, n, 1);
         }
+        floor(&mut check, "running-example checks", real, 1);
+        floor(&mut check, "strided checks", strided, 1);
         check
     }
 }
@@ -247,21 +316,41 @@ impl DiffOracle for CompiledChecking {
 /// budget-classification agreement on the running example.
 struct CompiledProving;
 
+impl CompiledProving {
+    /// The production prover configuration (what `SynthesisConfig` uses).
+    const PROVER: SmtLite = SmtLite {
+        max_split_depth: 6,
+        max_attempts: 4000,
+    };
+
+    /// Proves `vcs` with both engines under an unlimited budget; returns
+    /// the verdict they agree on.
+    fn agree(check: &mut CheckReport, vcs: &[Vc], label: &str) -> Option<Verdict> {
+        check.cases += 1;
+        let (legacy, la) = Self::PROVER.verify_all_legacy(vcs, &Budget::unlimited());
+        let (compiled, ca) = Self::PROVER.verify_all_governed(vcs, &Budget::unlimited());
+        if compiled != legacy || ca != la {
+            check.fail(format!(
+                "{label}: compiled ({compiled:?}, {ca}) vs legacy ({legacy:?}, {la})"
+            ));
+            return None;
+        }
+        Some(legacy)
+    }
+}
+
 impl DiffOracle for CompiledProving {
     fn name(&self) -> &'static str {
         "diff.compiled-proving"
     }
 
-    fn run(&self, tier: Tier) -> CheckReport {
+    fn run(&self) -> CheckReport {
         let mut check = CheckReport::new(self.name());
-        let prover = SmtLite {
-            max_split_depth: 6,
-            max_attempts: 4000,
-        };
         let mut valid = 0u64;
         let mut unknown = 0u64;
         let mut kernels = 0u64;
-        for (name, kernel, nest) in analyzable_corpus(tier) {
+        let mut vcs_proved = 0u64;
+        for (name, kernel, nest) in analyzable_corpus() {
             kernels += 1;
             let invariants = empty_invariants(&nest);
             for (family, shift, bump) in [
@@ -275,39 +364,31 @@ impl DiffOracle for CompiledProving {
                     &invariants,
                     &synthetic_post(&kernel, shift, bump),
                 );
-                check.cases += 1;
-                let (legacy, la) = prover.verify_all_legacy(&vcs, &Budget::unlimited());
-                let (compiled, ca) = prover.verify_all_governed(&vcs, &Budget::unlimited());
-                if compiled != legacy || ca != la {
-                    check.fail(format!(
-                        "{name}/{family}: compiled ({compiled:?}, {ca}) vs \
-                         legacy ({legacy:?}, {la})"
-                    ));
-                    continue;
-                }
-                match legacy {
-                    Verdict::Valid => valid += 1,
-                    Verdict::Unknown(_) => unknown += 1,
+                vcs_proved += vcs.len() as u64;
+                match Self::agree(&mut check, &vcs, &format!("{name}/{family}")) {
+                    Some(Verdict::Valid) => valid += 1,
+                    Some(Verdict::Unknown(_)) => unknown += 1,
+                    None => {}
                 }
             }
         }
+        let (_, strided) = strided_vcs(&mut check);
+        Self::agree(&mut check, &strided, "strided");
+        // The real Hoare proof must stay provable.
+        let (_, vcs) = running_example_vcs();
+        match Self::agree(&mut check, &vcs, "running-example") {
+            Some(Verdict::Valid) | None => {}
+            Some(other) => check.fail(format!("running-example: expected Valid, got {other:?}")),
+        }
         // Budget-interruption classification on the deepest real proof.
-        let kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).expect("fixture lowers");
-        let nest = analyze_loop_nest(&kernel).expect("fixture analyzes");
-        let vcs = generate_vcs(
-            &nest,
-            &kernel.assumptions,
-            &fixtures::running_example_invariants(),
-            &fixtures::running_example_post(),
-        );
         let mut tripped = 0u64;
         let mut clean = 0u64;
         for attempts in [1u64, 2, 8, 32, 1 << 20] {
             check.cases += 1;
             let lb = Budget::limited(None, Some(attempts), None);
-            let (lv, la) = prover.verify_all_legacy(&vcs, &lb);
+            let (lv, la) = Self::PROVER.verify_all_legacy(&vcs, &lb);
             let cb = Budget::limited(None, Some(attempts), None);
-            let (cv, ca) = prover.verify_all_governed(&vcs, &cb);
+            let (cv, ca) = Self::PROVER.verify_all_governed(&vcs, &cb);
             if lv != cv || la != ca || lb.exhausted() != cb.exhausted() {
                 check.fail(format!(
                     "governed@{attempts}: legacy ({lv:?}, {la}, {:?}) vs \
@@ -321,69 +402,166 @@ impl DiffOracle for CompiledProving {
                 clean += 1;
             }
         }
-        if tripped == 0 || clean == 0 {
-            check.fail(format!(
-                "governed sweep vacuous: {tripped} tripped, {clean} clean"
-            ));
-        }
         check.count("kernels", kernels);
+        check.count("vcs", vcs_proved);
         check.count("valid", valid);
         check.count("unknown", unknown);
         check.count("governed-tripped", tripped);
         check.count("governed-clean", clean);
+        floor(&mut check, "kernels", kernels, 20);
+        floor(&mut check, "corpus VCs", vcs_proved, 101);
+        floor(&mut check, "valid", valid, 1);
+        floor(&mut check, "unknown", unknown, 1);
+        floor(&mut check, "governed-tripped", tripped, 1);
+        floor(&mut check, "governed-clean", clean, 1);
         check
     }
 }
 
 /// The batched, parallel-unit screen vs the exhaustive reference scan —
-/// verdict (presence/absence/error) agreement.
+/// verdict (presence/absence/error) agreement. The two scans may report
+/// different counterexamples, never disagree on whether one exists: CEGIS
+/// only consumes presence.
 struct BatchedScreen;
+
+impl BatchedScreen {
+    /// Screens `vcs` through both scans; returns the agreed verdict class
+    /// (0 survived, 1 killed, 2 error).
+    fn agree(
+        check: &mut CheckReport,
+        session: &CheckSession,
+        vcs: &[Vc],
+        label: &str,
+    ) -> Option<usize> {
+        check.cases += 1;
+        let batched = session.find_counterexample(vcs);
+        let exhaustive = session.find_counterexample_exhaustive(vcs);
+        match (&batched, &exhaustive) {
+            (Ok(None), Ok(None)) => Some(0),
+            (Ok(Some(_)), Ok(Some(_))) => Some(1),
+            (Err(_), Err(_)) => Some(2),
+            _ => {
+                check.fail(format!(
+                    "{label}: batched {batched:?} vs exhaustive {exhaustive:?}"
+                ));
+                None
+            }
+        }
+    }
+
+    /// Screens `vcs` and fails `check` unless both scans agree on
+    /// `expected` (0 survived, 1 killed, 2 error).
+    fn expect(
+        check: &mut CheckReport,
+        session: &CheckSession,
+        vcs: &[Vc],
+        label: &str,
+        expected: usize,
+    ) {
+        match Self::agree(check, session, vcs, label) {
+            Some(got) if got != expected => {
+                check.fail(format!("{label}: verdict class {got}, expected {expected}"))
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A kernel whose capture fails only at size 4: `a` is declared
+/// `0..min(n,3)` but stored through `1..n`.
+fn oob_at_4() -> Kernel {
+    let int = |name: &str| Param {
+        name: name.into(),
+        kind: ParamKind::IntScalar,
+    };
+    let min_n_3 = IrExpr::Call {
+        func: "min".into(),
+        args: vec![IrExpr::var("n"), IrExpr::Int(3)],
+    };
+    Kernel {
+        name: "oob_at_4".into(),
+        params: vec![
+            int("n"),
+            Param {
+                name: "a".into(),
+                kind: ParamKind::Array {
+                    dims: vec![(IrExpr::Int(0), min_n_3)],
+                },
+            },
+        ],
+        locals: vec![int("i")],
+        body: vec![IrStmt::Loop {
+            domain: IterDomain::unit("i", IrExpr::Int(1), IrExpr::var("n")),
+            body: vec![IrStmt::Store {
+                array: "a".into(),
+                indices: vec![IrExpr::var("i")],
+                value: IrExpr::Real(0.0),
+            }],
+        }],
+        assumptions: vec![],
+    }
+}
+
+/// A VC with no hypotheses and no body concluding `0 = rhs`.
+fn constant_vc(name: &str, rhs: i64) -> Vc {
+    Vc {
+        name: name.into(),
+        hypotheses: vec![],
+        body: vec![],
+        conclusion: Pred::Bool(IrExpr::cmp(CmpOp::Eq, IrExpr::Int(0), IrExpr::Int(rhs))),
+        int_scalars: vec![],
+        scope: VcScope::Initial,
+    }
+}
 
 impl DiffOracle for BatchedScreen {
     fn name(&self) -> &'static str {
         "diff.batched-screen"
     }
 
-    fn run(&self, tier: Tier) -> CheckReport {
+    fn run(&self) -> CheckReport {
         let mut check = CheckReport::new(self.name());
         let mut verdicts = [0u64; 3];
         let mut kernels = 0u64;
-        for (name, kernel, nest) in analyzable_corpus(tier) {
+        let checker = BoundedChecker {
+            trials_per_size: 2,
+            ..test_checker()
+        };
+        for (name, kernel, nest) in analyzable_corpus() {
             kernels += 1;
-            let session = CheckSession::new(
-                BoundedChecker {
-                    grid_sizes: vec![3, 4],
-                    trials_per_size: 2,
-                    ..BoundedChecker::default()
-                },
-                kernel.clone(),
-            );
+            let session = CheckSession::new(checker.clone(), kernel.clone());
             let families = vc_families(&kernel, &nest);
             // Two rounds: the second scans the units the first captured.
             for round in 0..2 {
                 for (family, vcs) in &families {
-                    check.cases += 1;
-                    let batched = session.find_counterexample(vcs);
-                    let exhaustive = session.find_counterexample_exhaustive(vcs);
-                    match (&batched, &exhaustive) {
-                        (Ok(None), Ok(None)) => verdicts[0] += 1,
-                        (Ok(Some(_)), Ok(Some(_))) => verdicts[1] += 1,
-                        (Err(_), Err(_)) => verdicts[2] += 1,
-                        _ => check.fail(format!(
-                            "{name}/{family}/round{round}: batched {batched:?} \
-                             vs exhaustive {exhaustive:?}"
-                        )),
+                    let label = format!("{name}/{family}/round{round}");
+                    if let Some(v) = Self::agree(&mut check, &session, vcs, &label) {
+                        verdicts[v] += 1;
                     }
                 }
             }
         }
+        // The correct candidate survives both scans, round after round.
+        let (kernel, vcs) = running_example_vcs();
+        let session = CheckSession::new(checker, kernel);
+        for round in 0..3 {
+            let label = format!("running-example/round{round}");
+            Self::expect(&mut check, &session, &vcs, &label, 0);
+        }
+        // Capture errors: the size-3 violation wins over the size-4 capture
+        // error, and a surviving candidate surfaces the capture error.
+        let session = CheckSession::new(BoundedChecker::new(), oob_at_4());
+        let always_false = [constant_vc("always-false", 1)];
+        Self::expect(&mut check, &session, &always_false, "oob/killed", 1);
+        let tautology = [constant_vc("tautology", 0)];
+        Self::expect(&mut check, &session, &tautology, "oob/error", 2);
         check.count("kernels", kernels);
         check.count("survived", verdicts[0]);
         check.count("killed", verdicts[1]);
         check.count("errored", verdicts[2]);
-        if verdicts[0] == 0 || verdicts[1] == 0 {
-            check.fail("sweep vacuous: a verdict class never occurred".to_string());
-        }
+        floor(&mut check, "kernels", kernels, 20);
+        floor(&mut check, "survived", verdicts[0], 21);
+        floor(&mut check, "killed", verdicts[1], 21);
         check
     }
 }
@@ -444,12 +622,12 @@ impl DiffOracle for CanonFingerprint {
         "diff.canon-fingerprint"
     }
 
-    fn run(&self, tier: Tier) -> CheckReport {
+    fn run(&self) -> CheckReport {
         let mut check = CheckReport::new(self.name());
         let mut rng = SplitMix64::new(0x00c0_ffee_0000_0001);
         let mut renames = 0u64;
         let mut mutations = 0u64;
-        for (name, kernel, _) in analyzable_corpus(tier) {
+        for (name, kernel, _) in analyzable_corpus() {
             let base = canonicalize(&kernel);
             // Alpha-renames collide.
             for trial in 0..2 {
@@ -603,7 +781,7 @@ impl DiffOracle for CacheRehydration {
         "diff.cache-rehydration"
     }
 
-    fn run(&self, _tier: Tier) -> CheckReport {
+    fn run(&self) -> CheckReport {
         let mut check = CheckReport::new(self.name());
         let pairs = [("heat0", "heat0_renamed"), ("jac2s2", "jac2s2_ws")];
         let corpus = stng_corpus::all_kernels();
@@ -720,10 +898,55 @@ mod tests {
         assert!(validated > 0);
     }
 
+    /// Runs one oracle — the same sweep `stng-verify --quick` runs — and
+    /// requires a clean report; the floors are part of each oracle, so a
+    /// vacuous sweep fails here too.
+    fn green(oracle: &dyn DiffOracle) -> CheckReport {
+        let report = oracle.run();
+        assert_eq!(report.failures, 0, "{}: {:?}", report.name, report.notes);
+        assert!(report.cases > 0);
+        report
+    }
+
+    fn detail(report: &CheckReport, name: &str) -> u64 {
+        report
+            .detail
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("{}: no detail {name}", report.name))
+    }
+
     #[test]
     fn canon_fingerprint_oracle_is_green_on_quick() {
-        let report = CanonFingerprint.run(Tier::Quick);
-        assert_eq!(report.failures, 0, "{:?}", report.notes);
-        assert!(report.cases > 0);
+        green(&CanonFingerprint);
+    }
+
+    #[test]
+    fn compiled_checking_oracle_is_green_on_quick() {
+        let report = green(&CompiledChecking);
+        assert!(detail(&report, "kernels") >= 20);
+        assert!(report.cases > 10_000, "only {} checks", report.cases);
+        for class in ["vacuous", "holds", "violated", "errors"] {
+            assert!(detail(&report, class) > 0, "no {class} outcome");
+        }
+    }
+
+    #[test]
+    fn compiled_proving_oracle_is_green_on_quick() {
+        let report = green(&CompiledProving);
+        assert!(detail(&report, "kernels") >= 20);
+        assert!(detail(&report, "vcs") > 100);
+        for class in ["valid", "unknown", "governed-tripped", "governed-clean"] {
+            assert!(detail(&report, class) > 0, "no {class} outcome");
+        }
+    }
+
+    #[test]
+    fn batched_screen_oracle_is_green_on_quick() {
+        let report = green(&BatchedScreen);
+        assert!(detail(&report, "kernels") >= 20);
+        assert!(detail(&report, "survived") > 20);
+        assert!(detail(&report, "killed") > 20);
     }
 }

@@ -9,13 +9,15 @@
 //!   enumerated VC grammar through both checking engines.
 //! * **Layer 2 — differential oracles** ([`layer2`]): every fast/slow pair
 //!   in the codebase registered behind one [`layer2::DiffOracle`] trait and
-//!   driven over the corpus.
+//!   driven over every analyzable corpus kernel plus special cases — the
+//!   only home of those differentials.
 //! * **Layer 3 — seeded kernel fuzzing** ([`layer3`]): generated loop
 //!   nests through the full pipeline under metamorphic properties.
 //!
-//! Two tiers: `--quick` (the PR gate, bounded strata / corpus prefix /
-//! small fuzz batch, wall-gated by `stng-bench`) and `--deep` (full strata,
-//! whole corpus, ≥200 fuzzed kernels — the nightly and chaos tier).
+//! Two tiers: `--quick` (the PR gate, bounded strata / small fuzz batch,
+//! wall-gated by `stng-bench`) and `--deep` (full strata, ≥200 fuzzed
+//! kernels — the nightly and chaos tier). Layer 2 runs the same whole-corpus
+//! sweep on both.
 //! `docs/verification.md` documents what each layer does and does not
 //! establish.
 
@@ -37,7 +39,7 @@ static VERIFY_FAILURES: Lazy = Lazy::counter("verify.failures");
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct Options {
-    /// Deep tier: full strata, whole corpus, the ≥200-kernel fuzz batch.
+    /// Deep tier: full strata and the ≥200-kernel fuzz batch.
     pub deep: bool,
     /// Seed for the Layer-3 fuzzer (and seeded sampling elsewhere).
     pub seed: u64,
@@ -62,14 +64,6 @@ impl Options {
     }
 }
 
-fn layer_tier(opts: &Options) -> layer2::Tier {
-    if opts.deep {
-        layer2::Tier::Deep
-    } else {
-        layer2::Tier::Quick
-    }
-}
-
 /// Runs all three layers and assembles the report. Deterministic for a
 /// given `(deep, seed, fuzz_count)`: the rendered JSON is byte-identical
 /// across runs (Layer 3 is re-run once to pin exactly that).
@@ -90,12 +84,11 @@ pub fn run(opts: &Options) -> Report {
     {
         let mut layer_span = stng_obs::span(&names::VERIFY_LAYER);
         layer_span.detail_sym(Symbol::intern("differential"));
-        let tier = layer_tier(opts);
         let mut checks = Vec::new();
         for oracle in layer2::registry() {
             let mut check_span = stng_obs::span(&names::VERIFY_CHECK);
             check_span.detail_sym(Symbol::intern(oracle.name()));
-            checks.push(oracle.run(tier));
+            checks.push(oracle.run());
         }
         layers.push(LayerReport {
             name: "differential",

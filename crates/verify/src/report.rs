@@ -1,11 +1,13 @@
 //! The canonical JSON report `stng-verify` emits.
 //!
-//! The report is hand-rolled JSON (like `stng-bench`'s `BENCH_N.json` — no
-//! serde in the workspace) and deliberately contains **no timing and no
+//! The report is a `stng_obs::json` document (no serde in the workspace),
+//! printed compactly, and deliberately contains **no timing and no
 //! machine-dependent fields**: two runs with the same tier and seed must
 //! produce byte-identical reports, which is itself one of the properties CI
 //! pins (the kernel fuzzer's determinism guarantee). Wall-clock numbers go
 //! to stderr and to the obs metrics registry instead.
+
+use stng_obs::json::{obj, s, Json};
 
 /// One check (a Layer-1 enumeration stratum group, a Layer-2 differential
 /// oracle, or a Layer-3 fuzzer property sweep).
@@ -89,105 +91,102 @@ impl Report {
     }
 
     /// Canonical JSON rendering: construction order, no timing, no paths.
+    /// The seed is a hex string (`--seed` reads it back): a 64-bit seed
+    /// does not fit a JSON number exactly.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"tier\": {},\n", json_str(self.tier)));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"cases\": {},\n", self.total_cases()));
-        out.push_str(&format!("  \"failures\": {},\n", self.total_failures()));
-        out.push_str(&format!(
-            "  \"passed\": {},\n",
-            if self.passed() { "true" } else { "false" }
-        ));
-        out.push_str("  \"layers\": [\n");
-        for (li, layer) in self.layers.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": {},\n", json_str(layer.name)));
-            out.push_str(&format!("      \"cases\": {},\n", layer.cases()));
-            out.push_str(&format!("      \"failures\": {},\n", layer.failures()));
-            out.push_str("      \"checks\": [\n");
-            for (ci, check) in layer.checks.iter().enumerate() {
-                out.push_str("        {\n");
-                out.push_str(&format!("          \"name\": {},\n", json_str(&check.name)));
-                out.push_str(&format!("          \"cases\": {},\n", check.cases));
-                out.push_str(&format!("          \"failures\": {},\n", check.failures));
-                out.push_str("          \"detail\": {");
-                for (di, (name, value)) in check.detail.iter().enumerate() {
-                    if di > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("{}: {}", json_str(name), value));
-                }
-                out.push_str("},\n");
-                out.push_str("          \"notes\": [");
-                for (ni, note) in check.notes.iter().enumerate() {
-                    if ni > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&json_str(note));
-                }
-                out.push_str("]\n");
-                out.push_str(if ci + 1 < layer.checks.len() {
-                    "        },\n"
-                } else {
-                    "        }\n"
-                });
-            }
-            out.push_str("      ]\n");
-            out.push_str(if li + 1 < self.layers.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        let count = |v: u64| Json::Num(v as f64);
+        let check_json = |check: &CheckReport| {
+            obj(vec![
+                ("name", s(check.name.as_str())),
+                ("cases", count(check.cases)),
+                ("failures", count(check.failures)),
+                (
+                    "detail",
+                    obj(check
+                        .detail
+                        .iter()
+                        .map(|(name, value)| (name.as_str(), count(*value)))
+                        .collect()),
+                ),
+                (
+                    "notes",
+                    Json::Arr(check.notes.iter().map(|n| s(n.as_str())).collect()),
+                ),
+            ])
+        };
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| {
+                obj(vec![
+                    ("name", s(layer.name)),
+                    ("cases", count(layer.cases())),
+                    ("failures", count(layer.failures())),
+                    (
+                        "checks",
+                        Json::Arr(layer.checks.iter().map(check_json).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("tier", s(self.tier)),
+            ("seed", s(format!("{:#x}", self.seed))),
+            ("cases", count(self.total_cases())),
+            ("failures", count(self.total_failures())),
+            ("passed", Json::Bool(self.passed())),
+            ("layers", Json::Arr(layers)),
+        ])
+        .to_string()
     }
-}
-
-/// JSON string literal with the escapes the report can actually contain.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn report_json_is_deterministic_and_escaped() {
+    fn sample() -> Report {
         let mut check = CheckReport::new("fm.engine-agreement");
         check.cases = 3;
         check.count("stratum \"a\"", 2);
         check.fail("row x ≤ 0\nbroke");
-        let report = Report {
+        Report {
             tier: "quick",
-            seed: 7,
+            seed: 0x57e9_c11a_0000_0001,
             layers: vec![LayerReport {
                 name: "model-checking",
                 checks: vec![check],
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn report_json_is_deterministic_and_escaped() {
+        let report = sample();
         let a = report.to_json();
-        let b = report.to_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"stratum \\\"a\\\"\": 2"));
-        assert!(a.contains("\\nbroke"));
-        assert!(a.contains("\"passed\": false"));
+        assert_eq!(a, report.to_json());
+        let doc = Json::parse(&a).expect("report is valid JSON");
+        assert_eq!(doc.get("passed"), Some(&Json::Bool(false)));
+        let check = &doc.get("layers").unwrap().as_arr().unwrap()[0]
+            .get("checks")
+            .unwrap()
+            .as_arr()
+            .unwrap()[0];
+        let detail = check.get("detail").unwrap();
+        assert_eq!(detail.get("stratum \"a\"").unwrap().as_u64(), Some(2));
+        let notes = check.get("notes").unwrap().as_arr().unwrap();
+        assert_eq!(notes[0].as_str(), Some("row x ≤ 0\nbroke"));
+    }
+
+    #[test]
+    fn report_json_round_trips_totals_and_the_full_seed() {
+        let doc = Json::parse(&sample().to_json()).expect("report is valid JSON");
+        assert_eq!(doc.get("tier").unwrap().as_str(), Some("quick"));
+        assert_eq!(
+            doc.get("seed").unwrap().as_str(),
+            Some("0x57e9c11a00000001")
+        );
+        assert_eq!(doc.get("cases").unwrap().as_u64(), Some(3));
+        assert_eq!(doc.get("failures").unwrap().as_u64(), Some(1));
     }
 }
