@@ -10,7 +10,8 @@
 //! run reports every divergence across every oracle. Each oracle also
 //! fails on its own non-vacuity floors, so a sweep that silently stops
 //! exercising an outcome class is a failure too. The unit tests below run
-//! the registry under `cargo test`.
+//! the registry under `cargo test`; `tests/*_differential.rs` drive each
+//! part of the checking, proving and screening oracles through [`run_part`].
 //!
 //! Adding a new differential pair = implementing [`DiffOracle`] and
 //! appending it to [`registry`]; see `docs/verification.md`.
@@ -48,6 +49,14 @@ pub fn registry() -> Vec<Box<dyn DiffOracle>> {
         Box::new(CanonFingerprint),
         Box::new(CacheRehydration),
     ]
+}
+
+/// Runs one part of an oracle (say `BatchedScreen::capture_errors`) into
+/// a fresh report named `name`, so one special case can be driven alone.
+pub fn run_part(name: &str, part: fn(&mut CheckReport)) -> CheckReport {
+    let mut check = CheckReport::new(name);
+    part(&mut check);
+    check
 }
 
 /// Every corpus kernel that lowers and analyzes.
@@ -210,7 +219,7 @@ fn strided_vcs(check: &mut CheckReport) -> (Kernel, Vec<Vc>) {
 }
 
 /// Compiled VC checking vs the tree interpreter on every captured state.
-struct CompiledChecking;
+pub struct CompiledChecking;
 
 impl CompiledChecking {
     /// Checks `vcs` through both engines on every state `session` captured;
@@ -268,8 +277,19 @@ impl DiffOracle for CompiledChecking {
 
     fn run(&self) -> CheckReport {
         let mut check = CheckReport::new(self.name());
+        Self::corpus(&mut check);
+        Self::special_cases(&mut check);
+        check
+    }
+}
+
+impl CompiledChecking {
+    /// The four VC families on every analyzable corpus kernel, with the
+    /// kernel, check-count and outcome-class floors.
+    pub fn corpus(check: &mut CheckReport) {
         let mut kernels = 0u64;
         let mut outcomes = [0u64; 4];
+        let mut checks = 0u64;
         for (name, kernel, nest) in analyzable_corpus() {
             let session = CheckSession::new(test_checker(), kernel.clone());
             if session.captured_units().iter().any(|u| u.is_err()) {
@@ -277,8 +297,8 @@ impl DiffOracle for CompiledChecking {
             }
             kernels += 1;
             for (family, vcs) in vc_families(&kernel, &nest) {
-                Self::agree(
-                    &mut check,
+                checks += Self::agree(
+                    check,
                     &session,
                     &vcs,
                     &format!("{name}/{family}"),
@@ -286,35 +306,41 @@ impl DiffOracle for CompiledChecking {
                 );
             }
         }
-        let corpus_checks = check.cases;
-        let (kernel, vcs) = running_example_vcs();
-        let session = CheckSession::new(test_checker(), kernel);
-        let real = Self::agree(&mut check, &session, &vcs, "running-example", &mut outcomes);
-        let (kernel, vcs) = strided_vcs(&mut check);
-        let session = CheckSession::new(test_checker(), kernel);
-        let strided = Self::agree(&mut check, &session, &vcs, "strided", &mut outcomes);
         check.count("kernels", kernels);
         check.count("vacuous", outcomes[0]);
         check.count("holds", outcomes[1]);
         check.count("violated", outcomes[2]);
         check.count("errors", outcomes[3]);
-        floor(&mut check, "kernels", kernels, 20);
-        floor(&mut check, "corpus checks", corpus_checks, 10_001);
+        floor(check, "kernels", kernels, 20);
+        floor(check, "corpus checks", checks, 10_001);
         for (class, n) in ["vacuous", "holds", "violated", "errors"]
             .iter()
             .zip(outcomes)
         {
-            floor(&mut check, class, n, 1);
+            floor(check, class, n, 1);
         }
-        floor(&mut check, "running-example checks", real, 1);
-        floor(&mut check, "strided checks", strided, 1);
-        check
+    }
+
+    /// The running example with its real invariants and the stride-2
+    /// kernel, which must emit stride hypotheses.
+    pub fn special_cases(check: &mut CheckReport) {
+        let mut outcomes = [0u64; 4];
+        let (kernel, vcs) = running_example_vcs();
+        let session = CheckSession::new(test_checker(), kernel);
+        let real = Self::agree(check, &session, &vcs, "running-example", &mut outcomes);
+        let (kernel, vcs) = strided_vcs(check);
+        let session = CheckSession::new(test_checker(), kernel);
+        let strided = Self::agree(check, &session, &vcs, "strided", &mut outcomes);
+        check.count("running-example checks", real);
+        check.count("strided checks", strided);
+        floor(check, "running-example checks", real, 1);
+        floor(check, "strided checks", strided, 1);
     }
 }
 
 /// Legacy / compiled prover verdict and attempt agreement, plus
 /// budget-classification agreement on the running example.
-struct CompiledProving;
+pub struct CompiledProving;
 
 impl CompiledProving {
     /// The production prover configuration (what `SynthesisConfig` uses).
@@ -346,6 +372,17 @@ impl DiffOracle for CompiledProving {
 
     fn run(&self) -> CheckReport {
         let mut check = CheckReport::new(self.name());
+        Self::corpus(&mut check);
+        Self::special_cases(&mut check);
+        Self::budget_classification(&mut check);
+        check
+    }
+}
+
+impl CompiledProving {
+    /// Trivial, wrong and shifted postconditions on every analyzable
+    /// corpus kernel, with the kernel, VC and verdict-class floors.
+    pub fn corpus(check: &mut CheckReport) {
         let mut valid = 0u64;
         let mut unknown = 0u64;
         let mut kernels = 0u64;
@@ -365,22 +402,40 @@ impl DiffOracle for CompiledProving {
                     &synthetic_post(&kernel, shift, bump),
                 );
                 vcs_proved += vcs.len() as u64;
-                match Self::agree(&mut check, &vcs, &format!("{name}/{family}")) {
+                match Self::agree(check, &vcs, &format!("{name}/{family}")) {
                     Some(Verdict::Valid) => valid += 1,
                     Some(Verdict::Unknown(_)) => unknown += 1,
                     None => {}
                 }
             }
         }
-        let (_, strided) = strided_vcs(&mut check);
-        Self::agree(&mut check, &strided, "strided");
-        // The real Hoare proof must stay provable.
+        check.count("kernels", kernels);
+        check.count("vcs", vcs_proved);
+        check.count("valid", valid);
+        check.count("unknown", unknown);
+        floor(check, "kernels", kernels, 20);
+        floor(check, "corpus VCs", vcs_proved, 101);
+        floor(check, "valid", valid, 1);
+        floor(check, "unknown", unknown, 1);
+    }
+
+    /// The stride-2 kernel must agree and the running example's real
+    /// Hoare proof must stay `Valid` in both engines.
+    pub fn special_cases(check: &mut CheckReport) {
+        let (_, strided) = strided_vcs(check);
+        Self::agree(check, &strided, "strided");
         let (_, vcs) = running_example_vcs();
-        match Self::agree(&mut check, &vcs, "running-example") {
+        match Self::agree(check, &vcs, "running-example") {
             Some(Verdict::Valid) | None => {}
             Some(other) => check.fail(format!("running-example: expected Valid, got {other:?}")),
         }
-        // Budget-interruption classification on the deepest real proof.
+    }
+
+    /// Budget-interruption classification on the deepest real proof: equal
+    /// attempt budgets must trip (or not) identically in both engines, and
+    /// the sweep must see both a tripped and a clean level.
+    pub fn budget_classification(check: &mut CheckReport) {
+        let (_, vcs) = running_example_vcs();
         let mut tripped = 0u64;
         let mut clean = 0u64;
         for attempts in [1u64, 2, 8, 32, 1 << 20] {
@@ -402,19 +457,10 @@ impl DiffOracle for CompiledProving {
                 clean += 1;
             }
         }
-        check.count("kernels", kernels);
-        check.count("vcs", vcs_proved);
-        check.count("valid", valid);
-        check.count("unknown", unknown);
         check.count("governed-tripped", tripped);
         check.count("governed-clean", clean);
-        floor(&mut check, "kernels", kernels, 20);
-        floor(&mut check, "corpus VCs", vcs_proved, 101);
-        floor(&mut check, "valid", valid, 1);
-        floor(&mut check, "unknown", unknown, 1);
-        floor(&mut check, "governed-tripped", tripped, 1);
-        floor(&mut check, "governed-clean", clean, 1);
-        check
+        floor(check, "governed-tripped", tripped, 1);
+        floor(check, "governed-clean", clean, 1);
     }
 }
 
@@ -422,7 +468,7 @@ impl DiffOracle for CompiledProving {
 /// verdict (presence/absence/error) agreement. The two scans may report
 /// different counterexamples, never disagree on whether one exists: CEGIS
 /// only consumes presence.
-struct BatchedScreen;
+pub struct BatchedScreen;
 
 impl BatchedScreen {
     /// Screens `vcs` through both scans; returns the agreed verdict class
@@ -521,48 +567,69 @@ impl DiffOracle for BatchedScreen {
 
     fn run(&self) -> CheckReport {
         let mut check = CheckReport::new(self.name());
-        let mut verdicts = [0u64; 3];
-        let mut kernels = 0u64;
-        let checker = BoundedChecker {
+        Self::corpus(&mut check);
+        Self::running_example(&mut check);
+        Self::capture_errors(&mut check);
+        check
+    }
+}
+
+impl BatchedScreen {
+    /// The screen's checker: two trials per grid size.
+    fn checker() -> BoundedChecker {
+        BoundedChecker {
             trials_per_size: 2,
             ..test_checker()
-        };
+        }
+    }
+
+    /// The four VC families on every analyzable corpus kernel, two rounds
+    /// each (the second scans the units the first captured), with the
+    /// kernel, survived and killed floors.
+    pub fn corpus(check: &mut CheckReport) {
+        let mut verdicts = [0u64; 3];
+        let mut kernels = 0u64;
         for (name, kernel, nest) in analyzable_corpus() {
             kernels += 1;
-            let session = CheckSession::new(checker.clone(), kernel.clone());
+            let session = CheckSession::new(Self::checker(), kernel.clone());
             let families = vc_families(&kernel, &nest);
-            // Two rounds: the second scans the units the first captured.
             for round in 0..2 {
                 for (family, vcs) in &families {
                     let label = format!("{name}/{family}/round{round}");
-                    if let Some(v) = Self::agree(&mut check, &session, vcs, &label) {
+                    if let Some(v) = Self::agree(check, &session, vcs, &label) {
                         verdicts[v] += 1;
                     }
                 }
             }
         }
-        // The correct candidate survives both scans, round after round.
-        let (kernel, vcs) = running_example_vcs();
-        let session = CheckSession::new(checker, kernel);
-        for round in 0..3 {
-            let label = format!("running-example/round{round}");
-            Self::expect(&mut check, &session, &vcs, &label, 0);
-        }
-        // Capture errors: the size-3 violation wins over the size-4 capture
-        // error, and a surviving candidate surfaces the capture error.
-        let session = CheckSession::new(BoundedChecker::new(), oob_at_4());
-        let always_false = [constant_vc("always-false", 1)];
-        Self::expect(&mut check, &session, &always_false, "oob/killed", 1);
-        let tautology = [constant_vc("tautology", 0)];
-        Self::expect(&mut check, &session, &tautology, "oob/error", 2);
         check.count("kernels", kernels);
         check.count("survived", verdicts[0]);
         check.count("killed", verdicts[1]);
         check.count("errored", verdicts[2]);
-        floor(&mut check, "kernels", kernels, 20);
-        floor(&mut check, "survived", verdicts[0], 21);
-        floor(&mut check, "killed", verdicts[1], 21);
-        check
+        floor(check, "kernels", kernels, 20);
+        floor(check, "survived", verdicts[0], 21);
+        floor(check, "killed", verdicts[1], 21);
+    }
+
+    /// The correct candidate (the running example with its real
+    /// invariants) survives both scans, round after round on one session.
+    pub fn running_example(check: &mut CheckReport) {
+        let (kernel, vcs) = running_example_vcs();
+        let session = CheckSession::new(Self::checker(), kernel);
+        for round in 0..3 {
+            let label = format!("running-example/round{round}");
+            Self::expect(check, &session, &vcs, &label, 0);
+        }
+    }
+
+    /// Capture errors: the size-3 violation wins over the size-4 capture
+    /// error, and a surviving candidate surfaces the capture error.
+    pub fn capture_errors(check: &mut CheckReport) {
+        let session = CheckSession::new(BoundedChecker::new(), oob_at_4());
+        let always_false = [constant_vc("always-false", 1)];
+        Self::expect(check, &session, &always_false, "oob/killed", 1);
+        let tautology = [constant_vc("tautology", 0)];
+        Self::expect(check, &session, &tautology, "oob/error", 2);
     }
 }
 
@@ -910,10 +977,7 @@ mod tests {
 
     fn detail(report: &CheckReport, name: &str) -> u64 {
         report
-            .detail
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+            .count_of(name)
             .unwrap_or_else(|| panic!("{}: no detail {name}", report.name))
     }
 

@@ -41,6 +41,11 @@ impl CheckReport {
         self.detail.push((name.into(), value));
     }
 
+    /// The named count, if one was recorded.
+    pub fn count_of(&self, name: &str) -> Option<u64> {
+        self.detail.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+
     /// Records a failure, keeping the first few descriptions.
     pub fn fail(&mut self, description: impl Into<String>) {
         self.failures += 1;
