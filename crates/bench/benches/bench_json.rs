@@ -61,7 +61,6 @@ struct KernelMeasurement {
     bounded_ms: f64,
     prove_ms: f64,
     captures: usize,
-    core_hits: u64,
     screened: u64,
     survivors: u64,
     batch_scans: u64,
@@ -111,9 +110,6 @@ fn measure() -> (Vec<KernelMeasurement>, Totals) {
     let governed = bench_stng();
     let mut ungoverned = bench_stng();
     ungoverned.budget = stng::guard::Budget::unlimited();
-    // `BENCH_OBS_DISARMED_CONTROL` runs the armed slot disarmed, to tell
-    // a real observability overhead from noise.
-    let arm = std::env::var("BENCH_OBS_DISARMED_CONTROL").is_err();
     stng::obs::recorder::reset();
     let mut rows = Vec::new();
     let mut totals = Totals {
@@ -132,7 +128,7 @@ fn measure() -> (Vec<KernelMeasurement>, Totals) {
         for rep in 0..REPS {
             for slot in (0..3).map(|k| (k + rep) % 3) {
                 let stng = if slot == 1 { &ungoverned } else { &governed };
-                if slot == 2 && arm {
+                if slot == 2 {
                     stng::obs::arm();
                 }
                 let start = Instant::now();
@@ -186,7 +182,6 @@ fn measure() -> (Vec<KernelMeasurement>, Totals) {
             bounded_ms: phase.bounded_ms(),
             prove_ms: phase.prove_ms(),
             captures: phase.captures,
-            core_hits: phase.core_hits,
             screened: phase.screened,
             survivors: phase.survivors,
             batch_scans: phase.batch_scans,
@@ -224,7 +219,6 @@ fn kernels_json(rows: &[KernelMeasurement]) -> Json {
                 ("bounded_ms", fixed(row.bounded_ms, 3)),
                 ("prove_ms", fixed(row.prove_ms, 3)),
                 ("captures", nu(row.captures)),
-                ("core_hits", count(row.core_hits)),
                 ("screened", count(row.screened)),
                 ("survivors", count(row.survivors)),
                 ("batch_scans", count(row.batch_scans)),
@@ -360,9 +354,9 @@ fn main() {
     );
 
     // Layered verification, quick tier (docs/verification.md). Runs after
-    // every timing measurement above on purpose: Layer 1 sweeps the global
-    // Fourier–Motzkin memo tables via `retain_epoch`, which would perturb
-    // the warm-state numbers if it ran earlier.
+    // every timing measurement above on purpose: Layer 1 sweeps the arenas
+    // (the Fourier–Motzkin memo tables included) via `stng::memory::sweep`,
+    // which would perturb the warm-state numbers if it ran earlier.
     let verify_start = Instant::now();
     let verify_report = stng_verify::run(&stng_verify::Options::default());
     let verify_s = verify_start.elapsed().as_secs_f64();
@@ -372,13 +366,11 @@ fn main() {
         verify_report.total_failures()
     );
 
-    // Phase breakdown: where checking time goes across the whole corpus,
-    // plus the learned-core hits that explain the prove column.
+    // Phase breakdown: where checking time goes across the whole corpus.
     let (cap_total, bounded_total, prove_total): (f64, f64, f64) =
         rows.iter().fold((0.0, 0.0, 0.0), |(c, b, p), r| {
             (c + r.capture_ms, b + r.bounded_ms, p + r.prove_ms)
         });
-    let cores_total: u64 = rows.iter().map(|r| r.core_hits).sum();
     let (screened_total, survivors_total, bscans_total) =
         rows.iter().fold((0, 0, 0), |(s, v, b), r| {
             (s + r.screened, v + r.survivors, b + r.batch_scans)
@@ -387,7 +379,6 @@ fn main() {
         "phase breakdown: capture {cap_total:.1} ms, bounded check {bounded_total:.1} ms, \
          prove {prove_total:.1} ms (of {total_ms:.1} ms total)"
     );
-    println!("prover: {cores_total} learned-core short-circuits");
     println!(
         "bounded screen: {screened_total} candidates screened, {survivors_total} survived \
          to the prover ({:.1}% killed), {bscans_total} batched sweeps",
@@ -400,7 +391,6 @@ fn main() {
                 ("capture_ms", fixed(cap_total, 3)),
                 ("bounded_ms", fixed(bounded_total, 3)),
                 ("prove_ms", fixed(prove_total, 3)),
-                ("core_hits", count(cores_total)),
                 ("screened", count(screened_total)),
                 ("survivors", count(survivors_total)),
                 ("batch_scans", count(bscans_total)),

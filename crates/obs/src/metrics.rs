@@ -304,7 +304,6 @@ pub struct PhaseMetrics {
     pub bounded_ns: MetricId,
     pub prove_ns: MetricId,
     pub captures: MetricId,
-    pub core_hits: MetricId,
     pub screened: MetricId,
     pub survivors: MetricId,
     pub batch_scans: MetricId,
@@ -318,7 +317,6 @@ pub fn phase() -> &'static PhaseMetrics {
         bounded_ns: register("phase.bounded_ns", MetricKind::TimeNs).id(),
         prove_ns: register("phase.prove_ns", MetricKind::TimeNs).id(),
         captures: register("phase.captures", MetricKind::Counter).id(),
-        core_hits: register("prover.core_hits", MetricKind::Counter).id(),
         screened: register("bounded.screened", MetricKind::Counter).id(),
         survivors: register("bounded.survivors", MetricKind::Counter).id(),
         batch_scans: register("bounded.batch_scans", MetricKind::Counter).id(),

@@ -215,9 +215,8 @@ impl BatchReport {
                             ),
                         ];
                         if timings {
-                            // Core hits and batch sweeps live with the
-                            // timings: they depend on what earlier lifts
-                            // learned and on how bounded-check workers
+                            // Screen counters live with the timings: batch
+                            // sweeps depend on how bounded-check workers
                             // interleave, so like durations they stay out of
                             // the canonical encoding.
                             fields.extend([
@@ -225,7 +224,6 @@ impl BatchReport {
                                 ("capture_ms", ms(k.report.phase.capture_ns)),
                                 ("bounded_ms", ms(k.report.phase.bounded_ns)),
                                 ("prove_ms", ms(k.report.phase.prove_ns)),
-                                ("core_hits", Json::Num(k.report.phase.core_hits as f64)),
                                 ("screened", Json::Num(k.report.phase.screened as f64)),
                                 ("survivors", Json::Num(k.report.phase.survivors as f64)),
                                 ("batch_scans", Json::Num(k.report.phase.batch_scans as f64)),

@@ -20,8 +20,7 @@
 //! * `--threads <n>` — lifting worker threads (default: all cores).
 //! * `--no-sweep` — keep the expression arenas between passes.
 //! * `--profile` — print a per-kernel phase-breakdown table for the final
-//!   pass (capture / bounded / prove times plus the prover's learned-core
-//!   hits, the bounded screen's
+//!   pass (capture / bounded / prove times, the bounded screen's
 //!   screened/survivor/batch-sweep counters, and whether the cache served
 //!   the row), so prover and screen wins are visible without parsing the
 //!   JSON report.
@@ -172,14 +171,13 @@ fn parse_args() -> Result<Args, String> {
 fn print_profile(pass: &stng_service::batch::BatchPass) {
     println!(
         "\nprofile (pass {}): per-kernel phase breakdown\n\
-         {:<24} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6} {:>5} {:>5} {:>6}",
+         {:<24} {:>9} {:>9} {:>9} {:>9} {:>6} {:>5} {:>5} {:>6}",
         pass.number,
         "kernel",
         "lift_ms",
         "capt_ms",
         "bound_ms",
         "prove_ms",
-        "cores",
         "screen",
         "surv",
         "bscan",
@@ -191,13 +189,12 @@ fn print_profile(pass: &stng_service::batch::BatchPass) {
     for k in &pass.kernels {
         let p = &k.report.phase;
         println!(
-            "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6} {:>5} {:>5} {:>6}",
+            "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>5} {:>5} {:>6}",
             k.kernel_name,
             k.lift_ms,
             p.capture_ms(),
             p.bounded_ms(),
             p.prove_ms(),
-            p.core_hits,
             p.screened,
             p.survivors,
             p.batch_scans,
@@ -208,13 +205,12 @@ fn print_profile(pass: &stng_service::batch::BatchPass) {
         total.absorb(p);
     }
     println!(
-        "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6} {:>5} {:>5} {:>6}",
+        "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>5} {:>5} {:>6}",
         "total",
         total_lift_ms,
         total.capture_ms(),
         total.bounded_ms(),
         total.prove_ms(),
-        total.core_hits,
         total.screened,
         total.survivors,
         total.batch_scans,

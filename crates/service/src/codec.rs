@@ -336,7 +336,6 @@ fn encode_phase(p: &PhaseTimings) -> Json {
         ("bounded_ns", Json::Num(p.bounded_ns as f64)),
         ("prove_ns", Json::Num(p.prove_ns as f64)),
         ("captures", nu(p.captures)),
-        ("core_hits", Json::Num(p.core_hits as f64)),
         ("screened", Json::Num(p.screened as f64)),
         ("survivors", Json::Num(p.survivors as f64)),
         ("batch_scans", Json::Num(p.batch_scans as f64)),
@@ -349,7 +348,6 @@ fn decode_phase(v: &Json) -> DecodeResult<PhaseTimings> {
         bounded_ns: field(v, "bounded_ns")?.as_u64().ok_or("bounded_ns")?,
         prove_ns: field(v, "prove_ns")?.as_u64().ok_or("prove_ns")?,
         captures: usize_field(v, "captures")?,
-        core_hits: field(v, "core_hits")?.as_u64().ok_or("core_hits")?,
         screened: field(v, "screened")?.as_u64().ok_or("screened")?,
         survivors: field(v, "survivors")?.as_u64().ok_or("survivors")?,
         batch_scans: field(v, "batch_scans")?.as_u64().ok_or("batch_scans")?,
@@ -362,8 +360,9 @@ fn decode_phase(v: &Json) -> DecodeResult<PhaseTimings> {
 /// schema 4 added the prover memo/core counters to the phase block;
 /// schema 5 added the bounded-screen counters
 /// (screened/survivors/batch_scans); schema 6 dropped the prover memo
-/// hit/miss counters from the phase block.
-pub const SCHEMA: u64 = 6;
+/// hit/miss counters from the phase block; schema 7 dropped the
+/// learned-core hit counter with the cores themselves.
+pub const SCHEMA: u64 = 7;
 
 /// Encodes a cache entry into its on-disk JSON document.
 pub fn encode_entry(e: &CachedLift) -> Json {
@@ -500,7 +499,6 @@ mod tests {
                 bounded_ns: 2_000_000,
                 prove_ns: 3_000_000,
                 captures: 6,
-                core_hits: 7,
                 screened: 11,
                 survivors: 2,
                 batch_scans: 33,

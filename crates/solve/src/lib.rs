@@ -28,8 +28,7 @@ pub use norm::{NormExpr, SymState};
 pub use prover::{ProverSession, SmtLite, Verdict};
 
 /// Occupancy snapshots of every arena/memo owned by this crate: normal-form
-/// expressions, the Fourier–Motzkin verdict memo and learned infeasibility
-/// cores.
+/// expressions, interned linear rows and the Fourier–Motzkin verdict memo.
 pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
     let mut out = norm::arena_stats();
     out.extend(lin::arena_stats());
@@ -37,6 +36,8 @@ pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
 }
 
 /// Sweeps every arena/memo owned by this crate; returns entries evicted.
+/// Call it through `stng::memory::sweep`, which defers while a lift is
+/// live.
 pub fn retain_epoch(cutoff: u64) -> usize {
     norm::retain_epoch(cutoff) + lin::retain_epoch(cutoff)
 }

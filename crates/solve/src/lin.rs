@@ -14,41 +14,31 @@
 //! to `t ≤ k − 1`, i.e. two aligned counters that differ must differ by a
 //! whole stride.
 //!
-//! Feasibility queries run through a three-stage compiled pipeline:
+//! Feasibility queries run through a two-stage compiled pipeline:
 //!
 //! 1. every context maintains its canonical constraint set (tightened,
 //!    sorted, deduplicated) *incrementally* — extending a context for a
 //!    case-split branch inserts one canonical row instead of re-normalizing
-//!    the whole system per query;
-//! 2. the canonical set is looked up in the global verdict memo, and on a
-//!    miss checked against the *learned infeasibility cores* (minimal
-//!    constraint subsets previously proven UNSAT) — any query containing a
-//!    core is UNSAT without elimination;
-//! 3. remaining queries run the slot-addressed dense elimination of
-//!    [`crate::lin_compile`], which also extracts new cores from its
-//!    contradiction provenance.
+//!    the whole system per query — and looks that exact set up in the global
+//!    verdict memo;
+//! 2. on a miss, the slot-addressed dense elimination of
+//!    [`crate::lin_compile`] decides it. That engine reproduces the tree
+//!    engine's elimination order and constraint-cap give-up, and the memo
+//!    only replays verdicts for identical sets, so a compiled context
+//!    answers exactly what the tree engine answers, whatever the process
+//!    proved before.
 //!
-//! Contexts created with [`LinCtx::new_legacy`] bypass all three stages and
-//! run the original tree-walking elimination directly — the independent
-//! oracle the corpus-wide differential test compares against.
+//! Contexts created with [`LinCtx::new_legacy`] bypass both stages and run
+//! the original tree-walking elimination directly — the independent oracle
+//! the corpus-wide differential test compares against.
 
-use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
-use stng_intern::{epoch, ArenaStats, ConsSet, Memo, Symbol};
+use stng_intern::{ArenaStats, ConsSet, Memo, Symbol};
 use stng_ir::ir::{Affine, CmpOp, IrExpr};
 
 /// Maximum number of constraints Fourier–Motzkin is allowed to generate
 /// before giving up (returning "possibly feasible", which is always safe).
 pub(crate) const FM_CONSTRAINT_CAP: usize = 4000;
-
-/// Maximum members a learned core may have; provenance subsets that stay
-/// bigger after minimization are not worth the per-query subsumption scans.
-const CORE_MAX_LEN: usize = 8;
-
-/// Maximum number of learned cores kept live at once.
-const CORE_STORE_CAP: usize = 256;
 
 /// Global hash-cons table of canonical (tightened) constraint rows. Every
 /// row a compiled context carries lives here exactly once, so a context's
@@ -60,9 +50,8 @@ static ROWS: ConsSet<Affine> = ConsSet::new();
 /// A hash-consed canonical constraint row. Equality and hashing are pointer
 /// operations (sound because [`ROWS`] stores each row value once); ordering
 /// is by row *value*, which keeps the canonical set sorted by content — the
-/// property the elimination-order fidelity and the sorted-subset core scans
-/// depend on. Value-equal rows are pointer-equal by construction, so the
-/// `Eq`/`Ord` pair stays consistent.
+/// property the elimination-order fidelity depends on. Value-equal rows are
+/// pointer-equal by construction, so the `Eq`/`Ord` pair stays consistent.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RowRef(pub(crate) &'static Affine);
 
@@ -100,136 +89,39 @@ impl std::borrow::Borrow<Affine> for RowRef {
 /// elimination with a pointer-hash table lookup.
 static FM_MEMO: Memo<Vec<RowRef>, bool> = Memo::new();
 
-/// A learned core (sorted constraint subset) with the epoch of its last use.
-type TaggedCore = (Vec<Affine>, AtomicU64);
-
-/// Learned infeasibility cores: minimal constraint subsets (sorted, so
-/// subset tests are linear merges) proven UNSAT by elimination, each tagged
-/// with the epoch of its last use so sweeps keep hot cores.
-static CORES: OnceLock<RwLock<Vec<TaggedCore>>> = OnceLock::new();
-
-thread_local! {
-    /// Feasibility queries short-circuited by a learned core on this thread.
-    static CORE_HITS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Core short-circuits on the calling thread since it started (monotonic;
-/// callers read deltas around the proving they run on that thread, so
-/// concurrent lifts on other threads never leak into them).
+/// Always 0: the learned infeasibility cores this counted are gone, and the
+/// compiled path is memo → dense elimination only. Kept solely because the
+/// pinned `perfbench/` harness still reads it; it goes with the next change
+/// to that harness (alongside `ProverSession` and `verify_all_session`).
 pub fn core_hit_count() -> u64 {
-    CORE_HITS.with(Cell::get)
+    0
 }
 
-/// Occupancy snapshots of the Fourier–Motzkin verdict memo and the learned
-/// core store.
+/// Occupancy snapshots of the interned rows and the Fourier–Motzkin verdict
+/// memo.
 pub fn arena_stats() -> Vec<ArenaStats> {
-    let cores = CORES
-        .get()
-        .map(|l| l.read().expect("core store poisoned").len())
-        .unwrap_or(0);
-    vec![
-        ROWS.stats("solve.lin_rows"),
-        FM_MEMO.stats("solve.fm_memo"),
-        ArenaStats::new("solve.lin_cores", cores, std::mem::size_of::<Vec<Affine>>()),
-    ]
+    vec![ROWS.stats("solve.lin_rows"), FM_MEMO.stats("solve.fm_memo")]
 }
 
-/// Sweeps interned rows, Fourier–Motzkin verdicts, and learned cores.
-/// Verdict-memo keys hold raw row addresses, so evicting *any* row must
-/// drop *every* memo entry — a surviving entry could otherwise alias a
-/// recycled allocation; the memo is cleared wholesale (it rebuilds in one
-/// pass). Rows themselves are only referenced by live [`LinCtx`]s, none of
-/// which exist across a sweep (sweeps run between pipeline invocations
-/// only), and cores are owned constraint subsets, so both evict safely.
+/// Sweeps interned rows and Fourier–Motzkin verdicts. Verdict-memo keys
+/// hold raw row addresses, so evicting *any* row must drop *every* memo
+/// entry — a surviving entry could otherwise alias a recycled allocation;
+/// the memo is cleared wholesale (it rebuilds in one pass). Rows themselves
+/// are only referenced by live [`LinCtx`]s, and `stng::memory::sweep`
+/// defers while any lift holds its `LiftPin`, so none is live across a
+/// sweep.
 pub fn retain_epoch(cutoff: u64) -> usize {
-    let mut evicted = ROWS.retain_epoch(cutoff);
-    evicted += FM_MEMO.retain_epoch(u64::MAX);
-    if let Some(lock) = CORES.get() {
-        let mut cores = lock.write().expect("core store poisoned");
-        let before = cores.len();
-        cores.retain(|(_, tag)| tag.load(Ordering::Relaxed) >= cutoff);
-        cores.shrink_to_fit();
-        evicted += before - cores.len();
-    }
-    evicted
-}
-
-/// `needle ⊆ haystack`, both sorted ascending by row value.
-fn sorted_subset<A, B>(needle: &[A], haystack: &[B]) -> bool
-where
-    A: std::borrow::Borrow<Affine>,
-    B: std::borrow::Borrow<Affine>,
-{
-    let mut it = haystack.iter().map(|h| h.borrow());
-    'members: for m in needle.iter().map(|m| m.borrow()) {
-        for h in it.by_ref() {
-            match h.cmp(m) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => continue 'members,
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// Checks `key` (sorted) against the learned cores; a containing query is
-/// UNSAT by monotonicity. Hits re-tag the core with the current epoch.
-fn core_subsumed(key: &[RowRef]) -> bool {
-    let Some(lock) = CORES.get() else {
-        return false;
-    };
-    let cores = lock.read().expect("core store poisoned");
-    let now = epoch::current();
-    for (core, tag) in cores.iter() {
-        if core.len() <= key.len() && sorted_subset(core, key) {
-            tag.store(now, Ordering::Relaxed);
-            CORE_HITS.with(|hits| hits.set(hits.get() + 1));
-            return true;
-        }
-    }
-    false
-}
-
-/// Records a freshly learned core (already minimized and verified UNSAT by
-/// the dense engine). Cores subsumed by an existing one are dropped; cores
-/// that subsume existing ones replace them.
-fn learn_core(mut core: Vec<Affine>) {
-    if core.is_empty() || core.len() > CORE_MAX_LEN {
-        return;
-    }
-    core.sort();
-    let lock = CORES.get_or_init(Default::default);
-    let mut cores = lock.write().expect("core store poisoned");
-    if cores
-        .iter()
-        .any(|(existing, _)| existing.len() <= core.len() && sorted_subset(existing, &core))
-    {
-        return;
-    }
-    cores.retain(|(existing, _)| !sorted_subset(&core, existing));
-    if cores.len() >= CORE_STORE_CAP {
-        return;
-    }
-    cores.push((core, AtomicU64::new(epoch::current())));
+    ROWS.retain_epoch(cutoff) + FM_MEMO.retain_epoch(u64::MAX)
 }
 
 /// The compiled feasibility pipeline over a canonical (tightened, sorted,
-/// deduplicated) constraint set: memo, then learned cores, then dense
-/// elimination with core extraction.
+/// deduplicated) constraint set: the exact-set verdict memo, then dense
+/// elimination.
 fn fm_query(key: &Vec<RowRef>) -> bool {
     if let Some(hit) = FM_MEMO.get(key) {
         return hit;
     }
-    if core_subsumed(key) {
-        FM_MEMO.insert(key.clone(), true);
-        return true;
-    }
-    let (infeasible, core) = crate::lin_compile::fm_analyze(key);
-    if let Some(members) = core {
-        learn_core(members.iter().map(|&i| key[i].0.clone()).collect());
-    }
+    let infeasible = crate::lin_compile::fm_infeasible_dense(key);
     FM_MEMO.insert(key.clone(), infeasible);
     infeasible
 }
@@ -295,7 +187,7 @@ pub struct LinCtx {
     /// rebuilds it. This is the elimination context the compiled query
     /// pipeline keys on.
     canon: Vec<RowRef>,
-    /// Legacy contexts bypass the memo/core/dense pipeline and run the
+    /// Legacy contexts bypass the memo/dense pipeline and run the
     /// tree-walking elimination directly (the differential oracle).
     legacy: bool,
 }
@@ -307,8 +199,8 @@ impl LinCtx {
     }
 
     /// An empty context whose feasibility queries run the original
-    /// tree-walking Fourier–Motzkin directly — no verdict memo, no learned
-    /// cores, no dense engine. Extensions ([`Clone`], [`LinCtx::with_case`])
+    /// tree-walking Fourier–Motzkin directly — no verdict memo, no dense
+    /// engine. Extensions ([`Clone`], [`LinCtx::with_case`])
     /// inherit the flag, so a proof search started legacy stays legacy
     /// throughout; the differential test relies on that independence.
     pub fn new_legacy() -> LinCtx {
@@ -630,8 +522,8 @@ fn fm_infeasible(constraints: &[Affine]) -> bool {
 /// Verification hooks for the `stng-verify` Layer-1 model checker.
 ///
 /// These expose the soundness-critical internals — gcd tightening, the
-/// tree-walking elimination oracle, the full compiled pipeline, and the
-/// learned-core store — on raw [`Affine`] rows, so the harness can
+/// tree-walking elimination oracle and the full compiled pipeline — on raw
+/// [`Affine`] rows, so the harness can
 /// enumerate small linear systems and compare every path against a
 /// brute-force integer-feasibility oracle without going through the
 /// `IrExpr` front door. Production code must keep using [`LinCtx`].
@@ -646,35 +538,19 @@ pub mod model {
     }
 
     /// Canonicalizes (tighten, sort, dedup) and runs the tree-walking
-    /// Fourier–Motzkin engine — the legacy oracle, no memo, no cores.
+    /// Fourier–Motzkin engine — the legacy oracle, no memo.
     pub fn tree_infeasible(constraints: &[Affine]) -> bool {
         fm_infeasible(&canonical(constraints))
     }
 
     /// Canonicalizes, interns, and runs the full compiled feasibility
-    /// pipeline exactly as production queries do: verdict memo, learned-core
-    /// subsumption, then dense elimination with core extraction.
+    /// pipeline exactly as production queries do: verdict memo, then dense
+    /// elimination.
     pub fn compiled_infeasible(constraints: &[Affine]) -> bool {
         let mut key: Vec<RowRef> = constraints.iter().map(intern_row).collect();
         key.sort();
         key.dedup();
         fm_query(&key)
-    }
-
-    /// Snapshot of the learned-core store. Every member set was proven
-    /// UNSAT by the dense engine when it was learned; the model checker
-    /// re-verifies each against the tree oracle.
-    pub fn learned_cores() -> Vec<Vec<Affine>> {
-        CORES
-            .get()
-            .map(|lock| {
-                lock.read()
-                    .expect("core store poisoned")
-                    .iter()
-                    .map(|(core, _)| core.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 }
 
@@ -889,50 +765,33 @@ mod tests {
         assert!(conflicted(compiled));
     }
 
+    /// A verdict must not depend on what the process proved before. The
+    /// padded system below contains the small contradiction `x ≤ 3 ∧ 5 ≤ x`,
+    /// but a fresh variable `a` has fewer occurrences (128) than `x` (132),
+    /// so elimination picks `a` first, and its 64 × 64 bound pairs pass
+    /// [`FM_CONSTRAINT_CAP`]: the oracle gives up with "possibly feasible".
+    /// A compiled context must say the same even after the small
+    /// contradiction has been proved on its own.
     #[test]
-    fn learned_cores_short_circuit_supersets() {
-        // Prove a small contradiction, then ask a strictly larger context
-        // containing it: the verdict must come back infeasible and the core
-        // hit counter must advance (the superset query is fresh, so it
-        // cannot be a memo hit).
+    fn verdicts_do_not_depend_on_earlier_proofs() {
         let mut small = LinCtx::new();
-        small.assume_le(&var("corex"), &constant(3));
-        small.assume_le(&constant(5), &var("corex"));
+        small.assume_le(&var("histx"), &constant(3));
+        small.assume_le(&constant(5), &var("histx"));
         assert!(small.is_infeasible());
-        let before = core_hit_count();
-        let mut big = LinCtx::new();
-        big.assume_le(&var("corea"), &var("coreb"));
-        big.assume_le(&var("corex"), &constant(3));
-        big.assume_le(&var("coreb"), &constant(7));
-        big.assume_le(&constant(5), &var("corex"));
-        assert!(big.is_infeasible());
-        assert!(
-            core_hit_count() > before,
-            "superset query must hit the core"
-        );
-    }
-
-    #[test]
-    fn core_hits_are_counted_per_thread() {
-        let before = core_hit_count();
-        std::thread::spawn(|| {
-            let mut small = LinCtx::new();
-            small.assume_le(&var("tcorex"), &constant(3));
-            small.assume_le(&constant(5), &var("tcorex"));
-            assert!(small.is_infeasible());
-            let mut big = LinCtx::new();
-            big.assume_le(&var("tcorea"), &constant(7));
-            big.assume_le(&var("tcorex"), &constant(3));
-            big.assume_le(&constant(5), &var("tcorex"));
-            assert!(big.is_infeasible());
-            assert!(core_hit_count() > 0, "the spawned thread must hit the core");
-        })
-        .join()
-        .unwrap();
-        assert_eq!(
-            core_hit_count(),
-            before,
-            "another thread's core hits must not show on this one"
-        );
+        let build = |mut ctx: LinCtx| {
+            ctx.assume_le(&var("histx"), &constant(3));
+            ctx.assume_le(&constant(5), &var("histx"));
+            for k in 0..130 {
+                ctx.assume_le(&var("histx"), &constant(1000 + k));
+            }
+            for k in 0..64 {
+                ctx.assume_le(&constant(-1000 - k), &var("hista"));
+                ctx.assume_le(&var("hista"), &constant(1000 + k));
+            }
+            ctx.is_infeasible()
+        };
+        let oracle = build(LinCtx::new_legacy());
+        assert!(!oracle, "the padding must push elimination past the cap");
+        assert_eq!(build(LinCtx::new()), oracle);
     }
 }

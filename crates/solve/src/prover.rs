@@ -117,8 +117,8 @@ impl SmtLite {
     }
 
     /// Oracle verification: identical logic, but every [`LinCtx`] runs the
-    /// original tree-walking Fourier–Motzkin with no verdict memo or learned
-    /// cores. The corpus-wide differential test pins
+    /// original tree-walking Fourier–Motzkin with no verdict memo and no
+    /// dense engine. The corpus-wide differential test pins
     /// `verify_all_governed` ≡ this.
     pub fn verify_all_legacy(&self, vcs: &[Vc], budget: &Budget) -> (Verdict, usize) {
         self.verify_all_with(vcs, budget, true)

@@ -39,7 +39,7 @@ fn sweeps_reduce_occupancy_and_respect_epoch_tags() {
     // Stats cover sym + solve + symbols, and symbols are exempt from sweeps.
     let stats = memory::arena_stats();
     assert!(stats.iter().any(|s| s.name == "sym.exprs"));
-    for solve_store in ["solve.lin_rows", "solve.fm_memo", "solve.lin_cores"] {
+    for solve_store in ["solve.lin_rows", "solve.fm_memo"] {
         assert!(
             stats.iter().any(|s| s.name == solve_store),
             "missing arena stats for {solve_store}"

@@ -108,7 +108,7 @@ fn counter_metrics_are_deterministic_single_threaded() {
     let mut stng = Stng::new();
     stng.config.parallelism = 1;
 
-    // The prover's FM verdict memo and learned cores live in process-global
+    // The prover's interned rows and FM verdict memo live in process-global
     // arenas; sweep to the same (empty) state before each run so both lifts
     // are equally cold.
     stng::memory::sweep();

@@ -116,13 +116,6 @@ pub struct PhaseTimings {
     /// this is exactly `grid_sizes × trials_per_size` however many
     /// candidates were screened — the invariant the bench gate pins.
     pub captures: usize,
-    /// Feasibility queries short-circuited by a learned infeasibility core
-    /// during this kernel's proving phase. The hit counter is per thread and
-    /// the prover runs on the CEGIS thread, so the count is this kernel's
-    /// own; whether a core exists to hit depends on what earlier lifts
-    /// learned, so it is a profiling signal excluded from canonical
-    /// reports.
-    pub core_hits: u64,
     /// Candidates screened by the bounded checker (one per
     /// `find_counterexample` call on the session).
     pub screened: u64,
@@ -147,7 +140,6 @@ impl PhaseTimings {
             bounded_ns: set.get(ids.bounded_ns),
             prove_ns: set.get(ids.prove_ns),
             captures: set.get(ids.captures) as usize,
-            core_hits: set.get(ids.core_hits),
             screened: set.get(ids.screened),
             survivors: set.get(ids.survivors),
             batch_scans: set.get(ids.batch_scans),
@@ -162,7 +154,6 @@ impl PhaseTimings {
         self.bounded_ns += other.bounded_ns;
         self.prove_ns += other.prove_ns;
         self.captures += other.captures;
-        self.core_hits += other.core_hits;
         self.screened += other.screened;
         self.survivors += other.survivors;
         self.batch_scans += other.batch_scans;
@@ -333,7 +324,6 @@ pub fn synthesize_governed_with_phases(
                     kernel.clone(),
                     budget.clone(),
                 );
-                let core_hits_before = stng_solve::lin::core_hit_count();
                 let mut prove_ns = 0u64;
                 let mut panicked: Option<String> = None;
                 let mut accepted: Option<(usize, usize)> = None;
@@ -404,10 +394,6 @@ pub fn synthesize_governed_with_phases(
                 kernel_metrics.add(ids.survivors, session.survivors());
                 kernel_metrics.add(ids.batch_scans, session.batch_scans());
                 kernel_metrics.add(ids.prove_ns, prove_ns);
-                kernel_metrics.add(
-                    ids.core_hits,
-                    stng_solve::lin::core_hit_count().saturating_sub(core_hits_before),
-                );
                 phase = PhaseTimings::from_metrics(&kernel_metrics);
                 kernel_metrics.flush();
                 if let Some((k, attempts)) = accepted {
@@ -683,9 +669,9 @@ end procedure
         // Counter-only budgets must charge deterministically: the same
         // kernel synthesized twice from fresh, equal attempt budgets
         // (single-threaded) must agree on outcome, degradation, attempt
-        // count, and exhaustion — even though the second run sees warm
-        // global FM memos and learned cores (those accelerate queries; they
-        // must not change verdicts or charging).
+        // count, and exhaustion — even though the second run sees a warm
+        // global FM verdict memo (it accelerates queries; it must not
+        // change verdicts or charging).
         let kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).unwrap();
         let config = SynthesisConfig {
             parallelism: 1,
